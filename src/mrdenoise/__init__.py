@@ -53,14 +53,7 @@ from .pipeline import (
     write_class_stats_csv,
 )
 from .restore import average_restore, type1_edge_preserve, type2_edge_preserve
-from .stream import (
-    LineBufferBank,
-    MODULE_NAMES,
-    new_module_counters,
-    stream_denoise,
-    stream_denoise_with_stats,
-    write_module_stats_csv,
-)
+from .stream import MODULE_NAMES, stream_denoise, stream_denoise_with_stats
 
 __version__ = "0.1.0"
 
@@ -109,10 +102,7 @@ __all__ = [
     "denoise_with_stats",
     "median_filter",
     "write_class_stats_csv",
-    "LineBufferBank",
     "MODULE_NAMES",
-    "new_module_counters",
     "stream_denoise",
     "stream_denoise_with_stats",
-    "write_module_stats_csv",
 ]

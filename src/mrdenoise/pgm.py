@@ -84,6 +84,14 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
         img = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
         return img.copy()
 
+    # every ASCII value takes at least one digit and one separator, so a
+    # header claiming more pixels than the file can hold is rejected
+    # before anything is allocated
+    room = (len(data) - sc.pos + 1) // 2
+    if count > room:
+        raise PgmFormatError(
+            f"{width}x{height} raster needs {count} values, file holds at most {room}"
+        )
     values = np.empty(count, dtype=np.uint8)
     for k in range(count):
         v = sc.next_int("pixel value")

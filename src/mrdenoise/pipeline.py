@@ -41,7 +41,7 @@ from .detect import (
     type2_edge,
 )
 from .image import as_gray
-from .restore import average_restore, type1_edge_preserve, type2_edge_preserve
+from .restore import _PAIRS, average_restore, type1_edge_preserve, type2_edge_preserve
 
 __all__ = [
     "PixelClass",
@@ -58,8 +58,6 @@ __all__ = [
 ]
 
 MIN_SIZE = 5
-
-_PAIRS = ((3, 5), (1, 7), (0, 8), (2, 6))
 
 
 class PixelClass(IntEnum):
@@ -125,7 +123,7 @@ def classify_window(
     """Classify one pixel from its 3x3 window, 5x5 window, and sorted values.
 
     ``counters``, when given, is bumped per classifier stage actually
-    evaluated; the streaming engine uses this as its complexity proxy.
+    evaluated; the stream engine's per-stage counts follow the same rules.
     """
     th = thresholds
     if counters is not None:
@@ -228,11 +226,13 @@ def _iterate_block(
     gate_active: bool,
     skip_npc: bool,
     weights_inside_abs: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Vectorized classify + restore over one padded block.
 
-    All arithmetic is exact integer work mirroring the scalar stage
-    functions, so frame and stream outputs agree bit for bit.
+    Returns the restored block, its class plane, and the number of edge
+    pixels the directional test alone marks noisy (those skip the
+    similarity check). All arithmetic is exact integer work mirroring the
+    scalar stage functions, so frame and stream outputs agree bit for bit.
     """
     p3 = _window_planes(padded, 3)
     center = p3[4]
@@ -296,7 +296,7 @@ def _iterate_block(
     out = np.where(
         cls == ne, t2ep, np.where(cls == dis, t1ep, np.where(cls == ns, avg, center))
     ).astype(np.uint8)
-    return out, cls
+    return out, cls, int(np.count_nonzero(edge & noisy_edge))
 
 
 def _run_iteration(
@@ -309,7 +309,7 @@ def _run_iteration(
 ) -> tuple[np.ndarray, np.ndarray]:
     h = padded.shape[0] - 4
     if workers <= 1 or h < 2 * workers:
-        return _iterate_block(padded, th, gate_active, skip_npc, weights_inside_abs)
+        return _iterate_block(padded, th, gate_active, skip_npc, weights_inside_abs)[:2]
     # split on output rows; each band reads the shared frozen input, so the
     # result is identical for any worker count
     edges = np.linspace(0, h, workers + 1, dtype=int)
@@ -339,6 +339,21 @@ def _require_denoisable(img) -> np.ndarray:
             f"image must be at least {MIN_SIZE}x{MIN_SIZE}, got {arr.shape}"
         )
     return arr
+
+
+def _schedule(cfg: PipelineConfig) -> list[tuple[bool, bool]]:
+    """``(gate_active, skip_noisy_pixel_check)`` for each pass of *cfg*.
+
+    Only the first pass departs from the full decision tree, as the
+    ``iteration1_*`` options select.
+    """
+    return [
+        (
+            not (k == 0 and cfg.iteration1_skips_similarity_gate),
+            k == 0 and cfg.iteration1_skips_noisy_pixel_check,
+        )
+        for k in range(cfg.iterations)
+    ]
 
 
 def _class_counts(cls: np.ndarray) -> dict[PixelClass, int]:
@@ -373,14 +388,19 @@ def denoise_iteration(
     return out
 
 
-def _denoise_impl(img, cfg, workers):
-    arr = _require_denoisable(img)
+def denoise(img, cfg: PipelineConfig | None = None, *, workers: int = 1) -> np.ndarray:
+    """Denoise *img* with the configured iteration schedule (default two passes)."""
+    return denoise_with_stats(img, cfg, workers=workers)[0]
+
+
+def denoise_with_stats(
+    img, cfg: PipelineConfig | None = None, *, workers: int = 1
+) -> tuple[np.ndarray, list[dict[PixelClass, int]]]:
+    """Like :func:`denoise` but also returns per-iteration class counts."""
+    current = _require_denoisable(img)
+    cfg = cfg or PipelineConfig()
     stats: list[dict[PixelClass, int]] = []
-    current = arr
-    for it in range(cfg.iterations):
-        first = it == 0
-        gate_active = not (first and cfg.iteration1_skips_similarity_gate)
-        skip_npc = first and cfg.iteration1_skips_noisy_pixel_check
+    for gate_active, skip_npc in _schedule(cfg):
         padded = np.pad(current, 2, mode="edge").astype(np.int32)
         current, cls = _run_iteration(
             padded,
@@ -392,21 +412,6 @@ def _denoise_impl(img, cfg, workers):
         )
         stats.append(_class_counts(cls))
     return current, stats
-
-
-def denoise(img, cfg: PipelineConfig | None = None, *, workers: int = 1) -> np.ndarray:
-    """Denoise *img* with the configured iteration schedule (default two passes)."""
-    cfg = cfg or PipelineConfig()
-    out, _ = _denoise_impl(img, cfg, workers)
-    return out
-
-
-def denoise_with_stats(
-    img, cfg: PipelineConfig | None = None, *, workers: int = 1
-) -> tuple[np.ndarray, list[dict[PixelClass, int]]]:
-    """Like :func:`denoise` but also returns per-iteration class counts."""
-    cfg = cfg or PipelineConfig()
-    return _denoise_impl(img, cfg, workers)
 
 
 def median_filter(img, k: int) -> np.ndarray:

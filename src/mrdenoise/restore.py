@@ -7,9 +7,9 @@ produced them.
 
 from __future__ import annotations
 
-from .detect import Direction, FAR_PIXELS, NEAR_PIXELS  # noqa: F401  (re-export)
+from .detect import FAR_PIXELS, NEAR_PIXELS
 
-__all__ = ["Direction", "average_restore", "type1_edge_preserve", "type2_edge_preserve"]
+__all__ = ["average_restore", "type1_edge_preserve", "type2_edge_preserve"]
 
 # Center-symmetric 3x3 pairs in fixed order: horizontal, vertical,
 # diagonal, anti-diagonal (flat indices, center is 4).

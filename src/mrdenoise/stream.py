@@ -1,45 +1,38 @@
-"""Raster-scan streaming engine, functionally equivalent to the frame pipeline.
+"""Row-streaming engine: the frame kernel driven through five-row rings.
 
-The engine consumes one pixel per call in raster order (the stream is
-the replication-padded frame, border pixels included) and holds only
-four full rows plus a 5x5 shift-window register file, so memory is
-O(width) regardless of image height. Once warmed up, the register file
-holds the 5x5 neighborhood of the pixel two full rows and two pixels
-behind the stream cursor, and every push whose lagged center is a real
-image pixel emits exactly one restored pixel, in raster order.
+Each pass is a generator that holds a ring of the five most recent
+replication-padded rows of its input, runs the frame kernel once per
+row on that 5-row block, and yields one restored row. Passes are
+chained, so pass *k+1* consumes pass *k*'s rows as they are emitted and
+each pass reads at most two rows ahead of the row it yields. Working
+memory is therefore O(width x passes) rather than O(width x height).
+Outputs are bit-identical to :func:`mrdenoise.pipeline.denoise` because
+both engines run the same kernel on the same windows under the same
+pass schedule.
 
-Each per-pixel stage (sorter, the two edge detectors, disorder analyzer,
-noisy-pixel checker, similarity checker, and the three restoration
-filters) is a pure function invoked on demand; invocation counts are kept
-as a desk-scale complexity proxy. Outputs are bit-identical to
-:func:`mrdenoise.pipeline.denoise` by construction, and the test suite
-enforces it.
+Per-stage invocation counts (sorter, the two edge detectors, disorder
+analyzer, noisy-pixel checker, similarity checker, and the three
+restoration filters) are derived from the kernel's class counts with the
+short-circuit rules of :func:`mrdenoise.pipeline.classify_window`, so
+they equal what the scalar specification would count pixel by pixel.
 """
 
 from __future__ import annotations
 
-import csv
-import os
+from collections import deque
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .image import PEAK, as_gray
 from .pipeline import (
-    MIN_SIZE,
     PipelineConfig,
     PixelClass,
-    classify_window,
-    restore_pixel,
+    _iterate_block,
+    _require_denoisable,
+    _schedule,
 )
 
-__all__ = [
-    "MODULE_NAMES",
-    "new_module_counters",
-    "LineBufferBank",
-    "stream_denoise",
-    "stream_denoise_with_stats",
-    "write_module_stats_csv",
-]
+__all__ = ["MODULE_NAMES", "stream_denoise", "stream_denoise_with_stats"]
 
 MODULE_NAMES = (
     "sorter",
@@ -53,185 +46,100 @@ MODULE_NAMES = (
     "type2_edge_preserve_filter",
 )
 
+# tally layout: one slot per PixelClass, then the edge pixels that the
+# directional test alone marks noisy
+_DIRECT_NOISY_EDGE = len(PixelClass)
 
-def new_module_counters() -> dict[str, int]:
-    """Fresh zeroed invocation counters for every per-pixel stage."""
-    return dict.fromkeys(MODULE_NAMES, 0)
 
+def _pass_rows(
+    rows: Iterable[np.ndarray],
+    cfg: PipelineConfig,
+    gate_active: bool,
+    skip_npc: bool,
+    tally: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """One pass over a stream of image rows, yielding restored rows in order.
 
-class LineBufferBank:
-    """Line buffers and shift-window register file for one raster pass.
-
-    ``width`` and ``height`` describe the incoming padded stream (at least
-    5x5); the bank emits restored pixels for the (height-4) x (width-4)
-    interior in raster order. Emission trails the stream cursor by two
-    full rows plus two pixels, the warm-up latency of the window
-    register, and each input pixel past warm-up whose lagged center is
-    an interior pixel yields exactly one output.
+    The ring starts with the first row replicated above the image and is
+    flushed with the last row replicated below it, which is exactly the
+    frame pipeline's edge padding. *tally* accumulates the pass's class
+    counts and its direct noisy-edge count.
     """
+    ring: deque[np.ndarray] = deque(maxlen=5)
 
-    def __init__(
-        self,
-        width: int,
-        height: int,
-        cfg: PipelineConfig | None = None,
-        *,
-        gate_active: bool = True,
-        skip_noisy_pixel_check: bool = False,
-        counters: dict[str, int] | None = None,
-    ):
-        if width < MIN_SIZE or height < MIN_SIZE:
-            raise ValueError(
-                f"padded stream must be at least {MIN_SIZE}x{MIN_SIZE}, "
-                f"got {height}x{width}"
-            )
-        self.width = width
-        self.height = height
-        self.cfg = cfg or PipelineConfig()
-        self.gate_active = gate_active
-        self.skip_noisy_pixel_check = skip_noisy_pixel_check
-        self.counters = counters
-        self.class_counts: dict[PixelClass, int] = dict.fromkeys(PixelClass, 0)
-        # four most recent complete rows, oldest first
-        self._rows: list[list[int]] = [[0] * width for _ in range(4)]
-        self._current: list[int] = []
-        # 5x5 register file; row 0 is the oldest buffered row
-        self._regs: list[list[int]] = [[0] * 5 for _ in range(5)]
-        self._r = 0
-        self._c = 0
-
-    @property
-    def done(self) -> bool:
-        """True once every pixel of the padded stream has been consumed."""
-        return self._r >= self.height
-
-    def push_pixel(self, intensity) -> tuple[int, int, int] | None:
-        """Feed the next raster pixel; return ``(row, col, value)`` on emission.
-
-        Coordinates are in output-image space. Pushing past the end of the
-        declared stream is a usage error.
-        """
-        if self.done:
-            raise ValueError("stream overflow past image end")
-        value = int(intensity)
-        if not 0 <= value <= PEAK:
-            raise ValueError(f"intensity {value} out of range [0, {PEAK}]")
-
-        r, c = self._r, self._c
-        # shift the window register left and feed the new column
-        rows = self._rows
-        regs = self._regs
-        for i in range(4):
-            row_regs = regs[i]
-            row_regs.pop(0)
-            row_regs.append(rows[i][c])
-        regs[4].pop(0)
-        regs[4].append(value)
-
-        self._current.append(value)
-        if c == self.width - 1:
-            rows.pop(0)
-            rows.append(self._current)
-            self._current = []
-            self._r += 1
-            self._c = 0
-        else:
-            self._c += 1
-
-        if r < 4 or c < 4:
-            return None
-        out_row, out_col = r - 4, c - 4
-
-        w5 = regs[0] + regs[1] + regs[2] + regs[3] + regs[4]
-        w3 = regs[1][1:4] + regs[2][1:4] + regs[3][1:4]
-        counters = self.counters
-        if counters is not None:
-            counters["sorter"] += 1
-        f = sorted(w3)
-        cls = classify_window(
-            w3,
-            w5,
-            f,
-            self.cfg.thresholds,
-            gate_active=self.gate_active,
-            skip_noisy_pixel_check=self.skip_noisy_pixel_check,
-            weights_inside_abs=self.cfg.eq4_literal_weights,
-            counters=counters,
+    def emit() -> np.ndarray:
+        out, cls, direct = _iterate_block(
+            np.stack(ring),
+            cfg.thresholds,
+            gate_active,
+            skip_npc,
+            cfg.eq4_literal_weights,
         )
-        self.class_counts[cls] += 1
-        return out_row, out_col, restore_pixel(cls, w3, w5, f, counters)
+        tally[:_DIRECT_NOISY_EDGE] += np.bincount(cls[0], minlength=len(PixelClass))
+        tally[_DIRECT_NOISY_EDGE] += direct
+        return out[0]
+
+    for row in rows:
+        padded = np.pad(row, 2, mode="edge").astype(np.int32)
+        if not ring:
+            ring.extend((padded, padded))
+        ring.append(padded)
+        if len(ring) == 5:
+            yield emit()
+    for _ in range(2):
+        ring.append(ring[-1])
+        yield emit()
 
 
-def _stream_iteration(img: np.ndarray, cfg, gate_active, skip_npc, counters):
-    padded = np.pad(img, 2, mode="edge")
-    height, width = padded.shape
-    bank = LineBufferBank(
-        width,
-        height,
-        cfg,
-        gate_active=gate_active,
-        skip_noisy_pixel_check=skip_npc,
-        counters=counters,
-    )
-    h, w = img.shape
-    values = []
-    for v in padded.ravel().tolist():
-        emitted = bank.push_pixel(v)
-        if emitted is not None:
-            values.append(emitted[2])
-    if len(values) != h * w:
-        raise AssertionError(
-            f"stream emitted {len(values)} pixels for a {h}x{w} image"
-        )
-    return np.array(values, dtype=np.uint8).reshape(h, w), bank.class_counts
-
-
-def _stream_impl(img, cfg, collect):
-    arr = as_gray(img)
-    if arr.shape[0] < MIN_SIZE or arr.shape[1] < MIN_SIZE:
-        raise ValueError(
-            f"image must be at least {MIN_SIZE}x{MIN_SIZE}, got {arr.shape}"
-        )
-    cfg = cfg or PipelineConfig()
-    class_stats: list[dict[PixelClass, int]] = []
-    module_stats: list[dict[str, int]] = []
-    current = arr
-    for it in range(cfg.iterations):
-        first = it == 0
-        gate_active = not (first and cfg.iteration1_skips_similarity_gate)
-        skip_npc = first and cfg.iteration1_skips_noisy_pixel_check
-        counters = new_module_counters() if collect else None
-        current, counts = _stream_iteration(current, cfg, gate_active, skip_npc, counters)
-        if collect:
-            class_stats.append(counts)
-            module_stats.append(counters)
-    return current, class_stats, module_stats
-
-
-def stream_denoise(img, cfg: PipelineConfig | None = None) -> np.ndarray:
-    """Denoise *img* by streaming each iteration through a line-buffer bank.
-
-    The result is bit-identical to :func:`mrdenoise.pipeline.denoise` with
-    the same configuration.
-    """
-    out, _, _ = _stream_impl(img, cfg, collect=False)
-    return out
+def _module_counts(tally: np.ndarray, gate_active: bool, skip_npc: bool) -> dict[str, int]:
+    """Per-stage invocation counts of one pass, in ``MODULE_NAMES`` order."""
+    counts = [int(v) for v in tally]
+    n = sum(counts[:_DIRECT_NOISY_EDGE])
+    edges = counts[PixelClass.KEEP_EDGE] + counts[PixelClass.NOISY_EDGE]
+    disordered = counts[PixelClass.DISORDERED]
+    # edges the directional test alone marks noisy never reach the
+    # similarity check; candidates reach it only while the gate is active
+    # (with the noisy-pixel check skipped there are no candidates at all)
+    similarity_checks = edges - counts[_DIRECT_NOISY_EDGE]
+    if gate_active:
+        similarity_checks += counts[PixelClass.NOISY_SMOOTH] + counts[PixelClass.RESCUED_CANDIDATE]
+    return {
+        "sorter": n,
+        "type1_edge_detector": n,
+        "type2_edge_detector": edges,
+        "disorder_analyzer": n - edges,
+        "noisy_pixel_checker": 0 if skip_npc else n - edges - disordered,
+        "similarity_checker": similarity_checks,
+        "average_filter": counts[PixelClass.NOISY_SMOOTH],
+        "type1_edge_preserve_filter": disordered,
+        "type2_edge_preserve_filter": counts[PixelClass.NOISY_EDGE],
+    }
 
 
 def stream_denoise_with_stats(
     img, cfg: PipelineConfig | None = None
 ) -> tuple[np.ndarray, list[dict[PixelClass, int]], list[dict[str, int]]]:
     """Streaming denoise returning per-iteration class and module counts."""
-    return _stream_impl(img, cfg, collect=True)
+    arr = _require_denoisable(img)
+    cfg = cfg or PipelineConfig()
+    schedule = _schedule(cfg)
+    tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in schedule]
+    rows: Iterable[np.ndarray] = arr
+    for (gate_active, skip_npc), tally in zip(schedule, tallies):
+        rows = _pass_rows(rows, cfg, gate_active, skip_npc, tally)
+    out = np.stack(list(rows))
+    class_stats = [{c: int(t[c]) for c in PixelClass} for t in tallies]
+    module_stats = [
+        _module_counts(t, gate_active, skip_npc)
+        for t, (gate_active, skip_npc) in zip(tallies, schedule)
+    ]
+    return out, class_stats, module_stats
 
 
-def write_module_stats_csv(
-    path: str | os.PathLike, module_counts: list[dict[str, int]]
-) -> None:
-    """Write per-iteration module invocation counts as ``iteration,module,count``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "module", "count"])
-        for i, counters in enumerate(module_counts, start=1):
-            for name in MODULE_NAMES:
-                writer.writerow([i, name, counters.get(name, 0)])
+def stream_denoise(img, cfg: PipelineConfig | None = None) -> np.ndarray:
+    """Denoise *img* by streaming its rows through chained five-row rings.
+
+    The result is bit-identical to :func:`mrdenoise.pipeline.denoise` with
+    the same configuration.
+    """
+    return stream_denoise_with_stats(img, cfg)[0]

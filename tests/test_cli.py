@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +156,14 @@ class TestDenoise:
         cfg = PipelineConfig(iteration1_skips_similarity_gate=False)
         assert np.array_equal(read_pgm(out), denoise(img, cfg))
 
+    def test_hostile_ascii_header_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "huge.pgm"
+        bad.write_bytes(b"P2\n100000000 100000000\n255\n1 2 3\n")
+        assert run_cli("denoise", bad, tmp_path / "o.pgm") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_undersized_image_usage_error(self, tmp_path):
         inp = tmp_path / "small.pgm"
         write_pgm(inp, np.zeros((4, 4), np.uint8))
@@ -238,11 +248,15 @@ class TestEntryPoint:
         inp = tmp_path / "in.pgm"
         write_pgm(inp, img)
         out = tmp_path / "out.pgm"
+        # the child process imports the same package copy as this test
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "mrdenoise", "denoise", str(inp), str(out),
              "--iterations", "1"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         from mrdenoise import PipelineConfig

@@ -64,6 +64,7 @@ class TestReader:
             b"P2\n2 2\n255\n1 2 3 4 5\n",            # too many ascii values
             b"P2\n2 2\n255\n1 2 3 999\n",            # ascii value out of range
             b"P5",                                   # truncated header
+            b"P2\n100000000 100000000\n255\n1 2 3\n",  # header larger than the file
         ],
     )
     def test_malformed_rejected(self, tmp_path, payload):

@@ -1,85 +1,82 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from conftest import make_rng, random_image
+from conftest import make_rng, random_image, synthetic_mr_slice
 
 from mrdenoise import (
-    LineBufferBank,
     MODULE_NAMES,
     NoiseSpec,
     PipelineConfig,
     PixelClass,
     Thresholds,
+    classify_window,
     denoise,
     denoise_iteration,
     denoise_with_stats,
     inject_rvin,
-    new_module_counters,
+    restore_pixel,
     stream_denoise,
     stream_denoise_with_stats,
-    write_module_stats_csv,
 )
+from mrdenoise.pipeline import _schedule
+from mrdenoise.stream import _pass_rows
+
+BIG = 10**6
 
 
-def stream_all(bank, padded):
-    emitted = []
-    for k, v in enumerate(padded.ravel().tolist()):
-        out = bank.push_pixel(v)
-        if out is not None:
-            emitted.append((k, out))
-    return emitted
+def oracle_module_counts(img, cfg, gate_active, skip_npc):
+    """Stage counts of one pass, from the scalar specification on every pixel."""
+    counters = dict.fromkeys(MODULE_NAMES, 0)
+    padded = np.pad(img, 2, mode="edge").tolist()
+    h, w = img.shape
+    for r in range(h):
+        for c in range(w):
+            w5 = [v for row in padded[r : r + 5] for v in row[c : c + 5]]
+            w3 = w5[6:9] + w5[11:14] + w5[16:19]
+            f = sorted(w3)
+            counters["sorter"] += 1
+            cls = classify_window(
+                w3,
+                w5,
+                f,
+                cfg.thresholds,
+                gate_active=gate_active,
+                skip_noisy_pixel_check=skip_npc,
+                weights_inside_abs=cfg.eq4_literal_weights,
+                counters=counters,
+            )
+            restore_pixel(cls, w3, w5, f, counters)
+    return counters
 
 
-class TestLineBufferBank:
-    def test_five_by_five_latency_and_count(self):
-        img = np.arange(25, dtype=np.uint8).reshape(5, 5)
-        padded = np.pad(img, 2, mode="edge")
-        bank = LineBufferBank(9, 9)
-        emitted = stream_all(bank, padded)
-        assert len(emitted) == 25
-        # the emitted center trails the cursor by two full rows + two pixels:
-        # the first output appears once the cursor reaches (4, 4), i.e. after
-        # (2 rows + 2 px) + (2 rows + 2 px) of the 9-wide padded stream
-        first_push, first_out = emitted[0]
-        assert first_push == 4 * 9 + 4
-        assert first_out[:2] == (0, 0)
-        # raster order, one output per qualifying push
-        coords = [out[:2] for _, out in emitted]
-        assert coords == [(r, c) for r in range(5) for c in range(5)]
-        assert bank.done
+class TestRowRing:
+    def test_reads_two_rows_ahead_per_pass(self):
+        img = random_image(50, 17, 9)
+        cfg = PipelineConfig(iterations=3)
+        read = 0
 
-    def test_uniform_stream(self):
+        def source():
+            nonlocal read
+            for row in img:
+                read += 1
+                yield row
+
+        rows = source()
+        for gate_active, skip_npc in _schedule(cfg):
+            tally = np.zeros(len(PixelClass) + 1, np.int64)
+            rows = _pass_rows(rows, cfg, gate_active, skip_npc, tally)
+        emitted = []
+        for r, row in enumerate(rows):
+            # row r of the last pass needs input rows up to r + 2 per pass
+            assert read == min(img.shape[0], r + 1 + 2 * cfg.iterations)
+            emitted.append(row)
+        assert np.array_equal(np.stack(emitted), denoise(img, cfg))
+
+    def test_uniform_rows(self):
         img = np.full((6, 8), 31, np.uint8)
-        padded = np.pad(img, 2, mode="edge")
-        bank = LineBufferBank(12, 10)
-        emitted = stream_all(bank, padded)
-        assert all(out[2] == 31 for _, out in emitted)
+        assert np.array_equal(stream_denoise(img), img)
 
-    def test_matches_single_frame_iteration(self):
-        img = random_image(50, 11, 16)
-        for gate in (True, False):
-            padded = np.pad(img, 2, mode="edge")
-            bank = LineBufferBank(padded.shape[1], padded.shape[0], gate_active=gate)
-            emitted = stream_all(bank, padded)
-            got = np.zeros_like(img)
-            for _, (r, c, v) in emitted:
-                got[r, c] = v
-            assert np.array_equal(got, denoise_iteration(img, gate_active=gate))
-
-    def test_overflow_rejected(self):
-        bank = LineBufferBank(5, 5)
-        for v in range(25):
-            bank.push_pixel(7)
-        with pytest.raises(ValueError):
-            bank.push_pixel(7)
-
-    def test_bad_intensity_rejected(self):
-        bank = LineBufferBank(5, 5)
-        with pytest.raises(ValueError):
-            bank.push_pixel(300)
-
-    def test_undersized_stream_rejected(self):
-        with pytest.raises(ValueError):
-            LineBufferBank(4, 9)
 
 
 class TestStreamDenoise:
@@ -139,20 +136,37 @@ class TestStreamStats:
             assert mods["type1_edge_preserve_filter"] == counts[PixelClass.DISORDERED]
             assert mods["type2_edge_preserve_filter"] == counts[PixelClass.NOISY_EDGE]
 
-    def test_counters_shape(self):
-        counters = new_module_counters()
-        assert set(counters) == set(MODULE_NAMES)
-        assert all(v == 0 for v in counters.values())
-
-    def test_module_csv_schema(self, tmp_path):
-        img = random_image(57, 12, 12)
-        _, _, module_stats = stream_denoise_with_stats(img)
-        path = tmp_path / "modules.csv"
-        write_module_stats_csv(path, module_stats)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "iteration,module,count"
-        assert len(lines) == 1 + 2 * len(MODULE_NAMES)
-        assert lines[1].split(",")[1] == "sorter"
+    @pytest.mark.parametrize("eq4_literal", [False, True])
+    @pytest.mark.parametrize("skip_npc", [False, True])
+    @pytest.mark.parametrize("skip_gate", [False, True])
+    @pytest.mark.parametrize(
+        "thresholds",
+        [
+            Thresholds(),
+            Thresholds(t1=0, t3=0, t4=0, t5=0),
+            Thresholds(t1=0, t3=0, t4=0, t5=8),
+            Thresholds(t2=0),
+            Thresholds(t1=BIG, t2=BIG, t3=BIG, t4=BIG),
+        ],
+        ids=["default", "zero-t5-0", "zero-t5-8", "t2-0", "huge"],
+    )
+    def test_module_counts_match_scalar_oracle(self, thresholds, skip_gate, skip_npc, eq4_literal):
+        clean = synthetic_mr_slice(3, size=24)
+        noisy, _ = inject_rvin(clean, NoiseSpec.rvin(0.25, seed=4))
+        cfg = PipelineConfig(
+            thresholds=thresholds,
+            iterations=2,
+            iteration1_skips_similarity_gate=skip_gate,
+            iteration1_skips_noisy_pixel_check=skip_npc,
+            eq4_literal_weights=eq4_literal,
+        )
+        _, _, module_stats = stream_denoise_with_stats(noisy, cfg)
+        pass2_input = denoise(noisy, dataclasses.replace(cfg, iterations=1))
+        assert module_stats == [
+            oracle_module_counts(noisy, cfg, not skip_gate, skip_npc),
+            oracle_module_counts(pass2_input, cfg, True, False),
+        ]
+        assert all(list(m) == list(MODULE_NAMES) for m in module_stats)
 
 
 class TestEquivalenceSweep:
