@@ -1,9 +1,9 @@
 """Impulse-noise detection and edge-preserving restoration for 8-bit grayscale images.
 
 The package provides seeded noise injectors, window-level noise/edge
-classifiers, adaptive restoration filters, an iterative frame pipeline
-with median-filter baselines, a bit-identical raster-streaming engine,
-PGM I/O, PSNR metrics, and a CLI (``mrdenoise``).
+classifiers, adaptive restoration filters, an iterative pipeline that
+runs on whole frames or streams rows with bit-identical results,
+median-filter baselines, PGM I/O, PSNR metrics, and a CLI (``mrdenoise``).
 """
 
 from .detect import (
@@ -24,11 +24,7 @@ from .image import (
     PEAK,
     as_gray,
     mse,
-    pad_replicate,
     psnr,
-    sort9,
-    window3,
-    window5,
 )
 from .noise import (
     NoiseSpec,
@@ -41,19 +37,18 @@ from .noise import (
 )
 from .pgm import PgmFormatError, read_pgm, write_pgm
 from .pipeline import (
+    MODULE_NAMES,
     PipelineConfig,
     PixelClass,
-    classify,
     classify_window,
     denoise,
-    denoise_iteration,
     denoise_with_stats,
     median_filter,
     restore_pixel,
     write_class_stats_csv,
 )
 from .restore import average_restore, type1_edge_preserve, type2_edge_preserve
-from .stream import MODULE_NAMES, stream_denoise, stream_denoise_with_stats
+from .stream import stream_denoise, stream_denoise_with_stats
 
 __version__ = "0.1.0"
 
@@ -62,10 +57,6 @@ __all__ = [
     "INTENSITY_LEVELS",
     "PEAK",
     "as_gray",
-    "pad_replicate",
-    "window3",
-    "window5",
-    "sort9",
     "mse",
     "psnr",
     "PgmFormatError",
@@ -94,10 +85,8 @@ __all__ = [
     "type2_edge_preserve",
     "PixelClass",
     "PipelineConfig",
-    "classify",
     "classify_window",
     "restore_pixel",
-    "denoise_iteration",
     "denoise",
     "denoise_with_stats",
     "median_filter",

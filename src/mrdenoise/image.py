@@ -1,4 +1,4 @@
-"""8-bit grayscale images: validation, padding, windows, and quality metrics.
+"""8-bit grayscale images: validation and quality metrics.
 
 Images are plain 2-D ``numpy.uint8`` arrays, row-major with the origin at
 the top-left corner. All functions treat their inputs as read-only and
@@ -15,10 +15,6 @@ __all__ = [
     "INTENSITY_LEVELS",
     "PEAK",
     "as_gray",
-    "pad_replicate",
-    "window3",
-    "window5",
-    "sort9",
     "mse",
     "psnr",
 ]
@@ -46,50 +42,6 @@ def as_gray(img) -> np.ndarray:
     if int(arr.min()) < 0 or int(arr.max()) > PEAK:
         raise ValueError(f"intensities must lie in [0, {PEAK}]")
     return arr.astype(np.uint8)
-
-
-def pad_replicate(img, margin: int) -> np.ndarray:
-    """Pad *img* on all sides by *margin* pixels, replicating edge values."""
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    arr = as_gray(img)
-    if margin == 0:
-        return arr.copy()
-    return np.pad(arr, margin, mode="edge")
-
-
-def window3(img, row: int, col: int) -> np.ndarray:
-    """Extract the 3x3 neighborhood centered at (row, col).
-
-    Returns the nine pixels P1..P9 as a flat array in row-major order;
-    index 4 is the center. The full window must lie inside the image.
-    """
-    arr = as_gray(img)
-    h, w = arr.shape
-    if not (1 <= row < h - 1 and 1 <= col < w - 1):
-        raise ValueError(f"3x3 window at ({row}, {col}) exceeds {h}x{w} image bounds")
-    return arr[row - 1 : row + 2, col - 1 : col + 2].reshape(9).copy()
-
-
-def window5(img, row: int, col: int) -> np.ndarray:
-    """Extract the 5x5 neighborhood centered at (row, col).
-
-    Returns the 25 pixels P1..P25 as a flat array in row-major order;
-    index 12 is the center. The full window must lie inside the image.
-    """
-    arr = as_gray(img)
-    h, w = arr.shape
-    if not (2 <= row < h - 2 and 2 <= col < w - 2):
-        raise ValueError(f"5x5 window at ({row}, {col}) exceeds {h}x{w} image bounds")
-    return arr[row - 2 : row + 3, col - 2 : col + 3].reshape(25).copy()
-
-
-def sort9(window) -> np.ndarray:
-    """Sort the nine values of a 3x3 window into nondecreasing order F1..F9."""
-    arr = np.asarray(window).reshape(-1)
-    if arr.size != 9:
-        raise ValueError(f"expected 9 window values, got {arr.size}")
-    return np.sort(arr)
 
 
 def mse(a, b) -> float:

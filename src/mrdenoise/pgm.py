@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import os
+import re
+from collections.abc import Iterator
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -12,45 +15,24 @@ from .image import PEAK, as_gray
 __all__ = ["PgmFormatError", "read_pgm", "write_pgm"]
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+# a token is a run of non-whitespace bytes; a ``#`` where a token would
+# start opens a comment up to the end of the line, so ``12#3`` is one token
+_TOKEN = re.compile(rb"#[^\n\r]*|([^ \t\n\r\x0b\x0c]+)")
 
 
 class PgmFormatError(ValueError):
     """Raised for malformed or unsupported PGM content."""
 
 
-class _Scanner:
-    """Header tokenizer: whitespace-separated tokens, ``#`` starts a comment."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def next_token(self) -> bytes:
-        data, n = self.data, len(self.data)
-        i = self.pos
-        while i < n:
-            c = data[i : i + 1]
-            if c in _WHITESPACE:
-                i += 1
-            elif c == b"#":
-                while i < n and data[i : i + 1] not in (b"\n", b"\r"):
-                    i += 1
-            else:
-                break
-        if i >= n:
-            raise PgmFormatError("unexpected end of file in PGM header")
-        j = i
-        while j < n and data[j : j + 1] not in _WHITESPACE:
-            j += 1
-        self.pos = j
-        return data[i:j]
-
-    def next_int(self, what: str) -> int:
-        tok = self.next_token()
-        try:
-            return int(tok)
-        except ValueError:
-            raise PgmFormatError(f"invalid {what} in PGM header: {tok!r}") from None
+def _header_int(tokens: Iterator[re.Match], what: str) -> tuple[int, int]:
+    """The next header token as an integer, and the offset just past it."""
+    m = next(tokens, None)
+    if m is None:
+        raise PgmFormatError("unexpected end of file in PGM header")
+    try:
+        return int(m[1]), m.end()
+    except ValueError:
+        raise PgmFormatError(f"invalid {what} in PGM header: {m[1]!r}") from None
 
 
 def read_pgm(path: str | os.PathLike) -> np.ndarray:
@@ -59,24 +41,25 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
     Only maxval 255 is accepted; anything else is a format error.
     """
     data = Path(path).read_bytes()
-    sc = _Scanner(data)
-    magic = sc.next_token()
+    tokens = (m for m in _TOKEN.finditer(data) if m[1] is not None)
+    first = next(tokens, None)
+    magic = first[1] if first else b""
     if magic not in (b"P5", b"P2"):
         raise PgmFormatError(f"unsupported PGM magic {magic!r} (expected P5 or P2)")
-    width = sc.next_int("width")
-    height = sc.next_int("height")
+    width, _ = _header_int(tokens, "width")
+    height, _ = _header_int(tokens, "height")
     if width < 1 or height < 1:
         raise PgmFormatError(f"invalid PGM dimensions {width}x{height}")
-    maxval = sc.next_int("maxval")
+    maxval, pos = _header_int(tokens, "maxval")
     if maxval != PEAK:
         raise PgmFormatError(f"unsupported maxval {maxval} (only {PEAK} accepted)")
 
     count = width * height
     if magic == b"P5":
         # exactly one whitespace byte separates the header from the raster
-        if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in _WHITESPACE:
+        if pos >= len(data) or data[pos] not in _WHITESPACE:
             raise PgmFormatError("missing whitespace after maxval")
-        raster = data[sc.pos + 1 :]
+        raster = data[pos + 1 :]
         if len(raster) != count:
             raise PgmFormatError(
                 f"expected {count} raster bytes, found {len(raster)}"
@@ -87,23 +70,22 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
     # every ASCII value takes at least one digit and one separator, so a
     # header claiming more pixels than the file can hold is rejected
     # before anything is allocated
-    room = (len(data) - sc.pos + 1) // 2
+    room = (len(data) - pos + 1) // 2
     if count > room:
         raise PgmFormatError(
             f"{width}x{height} raster needs {count} values, file holds at most {room}"
         )
-    values = np.empty(count, dtype=np.uint8)
-    for k in range(count):
-        v = sc.next_int("pixel value")
-        if not 0 <= v <= PEAK:
-            raise PgmFormatError(f"pixel value {v} out of range [0, {PEAK}]")
-        values[k] = v
-    # nothing but whitespace/comments may follow the raster
     try:
-        sc.next_token()
-    except PgmFormatError:
-        return values.reshape(height, width)
-    raise PgmFormatError("trailing data after PGM raster")
+        # bytearray rejects any value outside [0, 255]
+        values = bytearray(int(m[1]) for m in islice(tokens, count))
+    except ValueError as exc:
+        raise PgmFormatError(f"bad PGM pixel value: {exc}") from None
+    if len(values) < count:
+        raise PgmFormatError(f"expected {count} pixel values, found {len(values)}")
+    # nothing but whitespace/comments may follow the raster
+    if next(tokens, None) is not None:
+        raise PgmFormatError("trailing data after PGM raster")
+    return np.frombuffer(values, dtype=np.uint8).reshape(height, width)
 
 
 def write_pgm(path: str | os.PathLike, img, *, ascii_format: bool = False) -> None:

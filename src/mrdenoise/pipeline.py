@@ -1,4 +1,4 @@
-"""Per-pixel classification, restoration, and the iterative frame pipeline.
+"""Per-pixel classification, restoration, and the iterative pass driver.
 
 Every pixel of a replication-padded frame is classified by a fixed
 decision tree and restored by the filter matched to its class:
@@ -13,20 +13,25 @@ decision tree and restored by the filter matched to its class:
    rescued when similar to their neighbors, otherwise smoothed by the
    median-rank average; everything else is kept.
 
-Iterations are double-buffered: each pass reads only the frozen output of
-the previous pass, which makes per-pixel work order-independent and
-results identical for any worker count. In the first pass of the default
-schedule the candidate rescue is bypassed (heavy noise makes neighbor
-similarity meaningless), so candidates are smoothed unconditionally.
+Each pass reads only the output of the previous pass, which makes
+per-pixel work order-independent. One driver runs every pass over a
+stream of row chunks, handing each pass's restored rows to the next pass
+as they appear; the frame engine (:func:`denoise`) feeds it the whole
+image as one chunk and the stream engine (:mod:`mrdenoise.stream`) one
+row per chunk, and every chunking gives the same result. In the first
+pass of the default schedule the candidate rescue is bypassed (heavy
+noise makes neighbor similarity meaningless), so candidates are smoothed
+unconditionally.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import chain
 
 import numpy as np
 
@@ -49,15 +54,27 @@ __all__ = [
     "classify",
     "classify_window",
     "restore_pixel",
-    "denoise_iteration",
     "denoise",
     "denoise_with_stats",
     "median_filter",
     "write_class_stats_csv",
     "MIN_SIZE",
+    "MODULE_NAMES",
 ]
 
 MIN_SIZE = 5
+
+MODULE_NAMES = (
+    "sorter",
+    "type1_edge_detector",
+    "type2_edge_detector",
+    "disorder_analyzer",
+    "noisy_pixel_checker",
+    "similarity_checker",
+    "average_filter",
+    "type1_edge_preserve_filter",
+    "type2_edge_preserve_filter",
+)
 
 
 class PixelClass(IntEnum):
@@ -299,39 +316,6 @@ def _iterate_block(
     return out, cls, int(np.count_nonzero(edge & noisy_edge))
 
 
-def _run_iteration(
-    padded: np.ndarray,
-    th: Thresholds,
-    gate_active: bool,
-    skip_npc: bool,
-    weights_inside_abs: bool,
-    workers: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    h = padded.shape[0] - 4
-    if workers <= 1 or h < 2 * workers:
-        return _iterate_block(padded, th, gate_active, skip_npc, weights_inside_abs)[:2]
-    # split on output rows; each band reads the shared frozen input, so the
-    # result is identical for any worker count
-    edges = np.linspace(0, h, workers + 1, dtype=int)
-    bands = [(int(r0), int(r1)) for r0, r1 in zip(edges[:-1], edges[1:])]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(
-                lambda band: _iterate_block(
-                    padded[band[0] : band[1] + 4],
-                    th,
-                    gate_active,
-                    skip_npc,
-                    weights_inside_abs,
-                ),
-                bands,
-            )
-        )
-    out = np.vstack([p[0] for p in parts])
-    cls = np.vstack([p[1] for p in parts])
-    return out, cls
-
-
 def _require_denoisable(img) -> np.ndarray:
     arr = as_gray(img)
     if arr.shape[0] < MIN_SIZE or arr.shape[1] < MIN_SIZE:
@@ -356,62 +340,106 @@ def _schedule(cfg: PipelineConfig) -> list[tuple[bool, bool]]:
     ]
 
 
-def _class_counts(cls: np.ndarray) -> dict[PixelClass, int]:
-    counts = np.bincount(cls.ravel(), minlength=len(PixelClass))
-    return {c: int(counts[c]) for c in PixelClass}
+# tally layout: one slot per PixelClass, then the edge pixels that the
+# directional test alone marks noisy
+_DIRECT_NOISY_EDGE = len(PixelClass)
 
 
-def denoise_iteration(
-    img,
-    cfg: PipelineConfig | None = None,
-    gate_active: bool = True,
-    *,
-    skip_noisy_pixel_check: bool = False,
-    workers: int = 1,
-) -> np.ndarray:
-    """Run a single classify-and-restore pass over *img*.
+def _module_counts(tally: np.ndarray, gate_active: bool, skip_npc: bool) -> dict[str, int]:
+    """Per-stage invocation counts of one pass, in ``MODULE_NAMES`` order."""
+    counts = [int(v) for v in tally]
+    n = sum(counts[:_DIRECT_NOISY_EDGE])
+    edges = counts[PixelClass.KEEP_EDGE] + counts[PixelClass.NOISY_EDGE]
+    disordered = counts[PixelClass.DISORDERED]
+    # edges the directional test alone marks noisy never reach the
+    # similarity check; candidates reach it only while the gate is active
+    # (with the noisy-pixel check skipped there are no candidates at all)
+    similarity_checks = edges - counts[_DIRECT_NOISY_EDGE]
+    if gate_active:
+        similarity_checks += counts[PixelClass.NOISY_SMOOTH] + counts[PixelClass.RESCUED_CANDIDATE]
+    return {
+        "sorter": n,
+        "type1_edge_detector": n,
+        "type2_edge_detector": edges,
+        "disorder_analyzer": n - edges,
+        "noisy_pixel_checker": 0 if skip_npc else n - edges - disordered,
+        "similarity_checker": similarity_checks,
+        "average_filter": counts[PixelClass.NOISY_SMOOTH],
+        "type1_edge_preserve_filter": disordered,
+        "type2_edge_preserve_filter": counts[PixelClass.NOISY_EDGE],
+    }
 
-    The pass reads exclusively from a frozen replication-padded copy of
-    the input and writes every pixel of the output.
+
+def _drive(
+    chunks: Iterable[np.ndarray], cfg: PipelineConfig, tallies: list[np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Run every pass of *cfg* over uint8 row chunks, yielding restored rows.
+
+    Each pass carries the last four padded int32 rows it has seen. An
+    incoming chunk is column-padded and joined below the carry (the first
+    chunk instead gets its top row twice above it), the joined block is
+    restored by one kernel call, and the restored rows go on to the next
+    pass in the same loop. At the end of input each pass in turn is
+    flushed with its last row replicated, one row per step. That is the
+    frame's edge padding, so every chunking of an image gives the same
+    output. ``tallies[k]`` accumulates pass *k*'s class counts and its
+    direct noisy-edge count.
     """
-    arr = _require_denoisable(img)
-    cfg = cfg or PipelineConfig()
-    padded = np.pad(arr, 2, mode="edge").astype(np.int32)
-    out, _ = _run_iteration(
-        padded,
-        cfg.thresholds,
-        gate_active,
-        skip_noisy_pixel_check,
-        cfg.eq4_literal_weights,
-        workers,
-    )
-    return out
+    schedule = _schedule(cfg)
+    carries: list[np.ndarray | None] = [None] * len(schedule)
+    flushes = ((k, None) for k in range(len(schedule)) for _ in range(2))
+    for first, rows in chain(((0, chunk) for chunk in chunks), flushes):
+        for k in range(first, len(schedule)):
+            carry = carries[k]
+            if rows is None:
+                block = np.concatenate([carry, carry[-1:]])
+            elif carry is None:
+                block = np.pad(rows, ((2, 0), (2, 2)), mode="edge").astype(np.int32)
+            else:
+                block = np.concatenate([carry, np.pad(rows, ((0, 0), (2, 2)), mode="edge")])
+            carries[k] = block[-4:].copy()  # a view would keep the whole block alive
+            if len(block) < 5:
+                break  # no full window yet, so nothing reaches the later passes
+            gate_active, skip_npc = schedule[k]
+            rows, cls, direct = _iterate_block(
+                block, cfg.thresholds, gate_active, skip_npc, cfg.eq4_literal_weights
+            )
+            tallies[k][:_DIRECT_NOISY_EDGE] += np.bincount(cls.ravel(), minlength=len(PixelClass))
+            tallies[k][_DIRECT_NOISY_EDGE] += direct
+        else:
+            yield rows
 
 
-def denoise(img, cfg: PipelineConfig | None = None, *, workers: int = 1) -> np.ndarray:
+def _run(
+    chunks: Iterable[np.ndarray], cfg: PipelineConfig
+) -> tuple[np.ndarray, list[dict[PixelClass, int]], list[dict[str, int]]]:
+    """Drive *chunks* through every pass of *cfg*.
+
+    Returns the output image, per-pass class counts and per-pass module
+    counts.
+    """
+    tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in range(cfg.iterations)]
+    out = np.concatenate(list(_drive(chunks, cfg, tallies)))
+    class_stats = [{c: int(t[c]) for c in PixelClass} for t in tallies]
+    module_stats = [_module_counts(t, *step) for t, step in zip(tallies, _schedule(cfg))]
+    return out, class_stats, module_stats
+
+
+def denoise(img, cfg: PipelineConfig | None = None) -> np.ndarray:
     """Denoise *img* with the configured iteration schedule (default two passes)."""
-    return denoise_with_stats(img, cfg, workers=workers)[0]
+    return denoise_with_stats(img, cfg)[0]
 
 
 def denoise_with_stats(
-    img, cfg: PipelineConfig | None = None, *, workers: int = 1
+    img, cfg: PipelineConfig | None = None
 ) -> tuple[np.ndarray, list[dict[PixelClass, int]]]:
-    """Like :func:`denoise` but also returns per-iteration class counts."""
-    current = _require_denoisable(img)
-    cfg = cfg or PipelineConfig()
-    stats: list[dict[PixelClass, int]] = []
-    for gate_active, skip_npc in _schedule(cfg):
-        padded = np.pad(current, 2, mode="edge").astype(np.int32)
-        current, cls = _run_iteration(
-            padded,
-            cfg.thresholds,
-            gate_active,
-            skip_npc,
-            cfg.eq4_literal_weights,
-            workers,
-        )
-        stats.append(_class_counts(cls))
-    return current, stats
+    """Like :func:`denoise` but also returns per-iteration class counts.
+
+    The whole frame is the pass driver's only chunk. The module counts
+    that the stream engine reports are computed as well but not returned.
+    """
+    out, class_stats, _ = _run([_require_denoisable(img)], cfg or PipelineConfig())
+    return out, class_stats
 
 
 def median_filter(img, k: int) -> np.ndarray:

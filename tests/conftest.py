@@ -1,6 +1,9 @@
-"""Shared deterministic builders for test images."""
+"""Deterministic test images, window helpers and a scalar-pass oracle shared by the tests."""
 
 import numpy as np
+
+from mrdenoise.image import as_gray
+from mrdenoise.pipeline import classify_window, restore_pixel
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -77,3 +80,76 @@ def slanted_step(n: int = 32, low: int = 40, high: int = 200, thresh: float = 24
     3x3 window 4/5, so they are visible to the sorted-gap edge test."""
     y, x = np.mgrid[0:n, 0:n]
     return np.where(x + 0.5 * y >= thresh, high, low).astype(np.uint8)
+
+
+def scalar_pass(img, cfg, gate_active: bool, skip_npc: bool = False, counters=None) -> np.ndarray:
+    """One classify-and-restore pass, pixel by pixel from the scalar specification.
+
+    ``counters``, when given, is bumped per stage the specification runs.
+    """
+    padded = np.pad(img, 2, mode="edge").tolist()
+    h, w = img.shape
+    out = np.empty((h, w), np.uint8)
+    for r in range(h):
+        for c in range(w):
+            w5 = [v for row in padded[r : r + 5] for v in row[c : c + 5]]
+            w3 = w5[6:9] + w5[11:14] + w5[16:19]
+            f = sorted(w3)
+            if counters is not None:
+                counters["sorter"] += 1
+            cls = classify_window(
+                w3,
+                w5,
+                f,
+                cfg.thresholds,
+                gate_active=gate_active,
+                skip_noisy_pixel_check=skip_npc,
+                weights_inside_abs=cfg.eq4_literal_weights,
+                counters=counters,
+            )
+            out[r, c] = restore_pixel(cls, w3, w5, f, counters)
+    return out
+
+
+def pad_replicate(img, margin: int) -> np.ndarray:
+    """Pad *img* on all sides by *margin* pixels, replicating edge values."""
+    if margin < 0:
+        raise ValueError("margin must be nonnegative")
+    arr = as_gray(img)
+    if margin == 0:
+        return arr.copy()
+    return np.pad(arr, margin, mode="edge")
+
+
+def window3(img, row: int, col: int) -> np.ndarray:
+    """Extract the 3x3 neighborhood centered at (row, col).
+
+    Returns the nine pixels P1..P9 as a flat array in row-major order;
+    index 4 is the center. The full window must lie inside the image.
+    """
+    arr = as_gray(img)
+    h, w = arr.shape
+    if not (1 <= row < h - 1 and 1 <= col < w - 1):
+        raise ValueError(f"3x3 window at ({row}, {col}) exceeds {h}x{w} image bounds")
+    return arr[row - 1 : row + 2, col - 1 : col + 2].reshape(9).copy()
+
+
+def window5(img, row: int, col: int) -> np.ndarray:
+    """Extract the 5x5 neighborhood centered at (row, col).
+
+    Returns the 25 pixels P1..P25 as a flat array in row-major order;
+    index 12 is the center. The full window must lie inside the image.
+    """
+    arr = as_gray(img)
+    h, w = arr.shape
+    if not (2 <= row < h - 2 and 2 <= col < w - 2):
+        raise ValueError(f"5x5 window at ({row}, {col}) exceeds {h}x{w} image bounds")
+    return arr[row - 2 : row + 3, col - 2 : col + 3].reshape(25).copy()
+
+
+def sort9(window) -> np.ndarray:
+    """Sort the nine values of a 3x3 window into nondecreasing order F1..F9."""
+    arr = np.asarray(window).reshape(-1)
+    if arr.size != 9:
+        raise ValueError(f"expected 9 window values, got {arr.size}")
+    return np.sort(arr)

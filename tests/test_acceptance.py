@@ -14,7 +14,6 @@ from mrdenoise import (
     PipelineConfig,
     PixelClass,
     Thresholds,
-    classify,
     denoise,
     denoise_with_stats,
     directional_distances,
@@ -31,6 +30,7 @@ from mrdenoise import (
     type2_edge_preserve,
     average_restore,
 )
+from mrdenoise.pipeline import _DIRECT_NOISY_EDGE, _drive, classify
 
 
 def _report(name: str, detail: str = ""):
@@ -252,19 +252,22 @@ def test_invariant_locality_radius():
     _report("invariant-locality", f"1000 perturbations confined to radius {radius}")
 
 
-def test_invariant_worker_determinism():
-    """Identical results for any worker count, plus rerun determinism."""
+def test_invariant_chunking_determinism():
+    """Identical results for any row chunking of the input, plus rerun determinism."""
     g = make_rng(8500)
+    cfg = PipelineConfig()
     for trial in range(1000):
         h = int(g.integers(5, 24))
         w = int(g.integers(5, 24))
         img = g.integers(0, 256, (h, w), dtype=np.uint8)
-        base = denoise(img, workers=1)
-        workers = int(g.integers(2, 8))
-        assert np.array_equal(denoise(img, workers=workers), base), trial
+        base = denoise(img, cfg)
+        cuts = np.sort(g.choice(np.arange(1, h), size=int(g.integers(1, h)), replace=False))
+        tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in range(cfg.iterations)]
+        out = np.concatenate(list(_drive(np.split(img, cuts), cfg, tallies)))
+        assert np.array_equal(out, base), trial
         if trial % 10 == 0:
-            assert np.array_equal(denoise(img), base)
-    _report("invariant-worker-determinism", "1000 images, worker counts 2-7")
+            assert np.array_equal(denoise(img, cfg), base)
+    _report("invariant-chunking-determinism", "1000 images, 2 to h row chunks each")
 
 
 def test_clean_input_stability():
@@ -309,7 +312,7 @@ def test_runtime_budget_single_image():
     noisy, _ = inject_rvin(img, NoiseSpec.rvin(0.2, seed=1))
     denoise(noisy)  # warm-up outside the timed region
     start = time.perf_counter()
-    denoise(noisy, workers=1)
+    denoise(noisy)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report("runtime-budget", f"256x256 two-pass denoise in {elapsed * 1000:.0f} ms")

@@ -108,6 +108,12 @@ class TestDenoise:
         assert run_cli("denoise", inp, b, "--engine", "stream") == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_stream_pass_count_beyond_recursion_limit(self, tmp_path):
+        inp = tmp_path / "s5.pgm"
+        write_pgm(inp, random_image(91, 5, 5))
+        assert run_cli("denoise", inp, tmp_path / "o.pgm", "--engine", "stream",
+                       "--iterations", sys.getrecursionlimit() + 100) == 0
+
     def test_matches_library(self, tmp_path, sample):
         img, inp = sample
         out = tmp_path / "out.pgm"

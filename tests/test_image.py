@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import make_rng, random_image
+from conftest import make_rng, pad_replicate, random_image, sort9, window3, window5
 
-from mrdenoise import as_gray, mse, pad_replicate, psnr, sort9, window3, window5
+from mrdenoise import as_gray, mse, psnr
 
 
 class TestAsGray:

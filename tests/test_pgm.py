@@ -1,8 +1,72 @@
 import numpy as np
 import pytest
 from conftest import random_image
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrdenoise import PgmFormatError, gray_to_mask, mask_to_gray, read_mask, read_pgm, write_mask, write_pgm
+from mrdenoise.pgm import _TOKEN
+
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+class OracleScanner:
+    """The per-byte header tokenizer the regex replaced, kept as its reference."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def next_token(self) -> bytes:
+        data, n = self.data, len(self.data)
+        i = self.pos
+        while i < n:
+            c = data[i : i + 1]
+            if c in _WHITESPACE:
+                i += 1
+            elif c == b"#":
+                while i < n and data[i : i + 1] not in (b"\n", b"\r"):
+                    i += 1
+            else:
+                break
+        if i >= n:
+            raise PgmFormatError("unexpected end of file in PGM header")
+        j = i
+        while j < n and data[j : j + 1] not in _WHITESPACE:
+            j += 1
+        self.pos = j
+        return data[i:j]
+
+
+# bytes that matter to the tokenizer, plus a few that do not
+_PGM_BYTES = st.sampled_from(list(_WHITESPACE + b"#0123456789P25-+_x\xff"))
+_BASES = [
+    b"P5\n3 2\n255\n" + bytes([0, 9, 10, 32, 35, 255]),
+    b"P2\n3 2\n255\n0 9 10\n32 35 255\n",
+    b"P2 # c\n# line\n2 1\n255 # x\n1 #2\n 3\n",
+]
+
+
+@st.composite
+def mutated_pgm(draw):
+    data = bytearray(draw(st.sampled_from(_BASES)))
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            data.insert(pos, draw(_PGM_BYTES))
+        elif data:
+            pos = min(pos, len(data) - 1)
+            if op == "delete":
+                del data[pos]
+            else:
+                data[pos] = draw(_PGM_BYTES)
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.pgm"
 
 
 class TestRoundtrip:
@@ -76,6 +140,38 @@ class TestReader:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_pgm(tmp_path / "absent.pgm")
+
+
+class TestTokenizer:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_PGM_BYTES, max_size=40).map(bytes))
+    def test_matches_oracle_scanner(self, data):
+        sc = OracleScanner(data)
+        expected = []
+        while True:
+            try:
+                tok = sc.next_token()
+            except PgmFormatError:
+                break
+            expected.append((tok, sc.pos))
+        got = [(m[1], m.end()) for m in _TOKEN.finditer(data) if m[1] is not None]
+        assert got == expected
+
+    def test_hash_inside_token_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(b"P2\n1 1\n255\n12#3\n")
+        with pytest.raises(PgmFormatError):
+            read_pgm(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_pgm())
+    def test_mutated_files_parse_or_raise_format_error(self, fuzz_path, data):
+        fuzz_path.write_bytes(data)
+        try:
+            img = read_pgm(fuzz_path)
+        except PgmFormatError:
+            return
+        assert img.dtype == np.uint8 and img.ndim == 2 and img.size >= 1
 
 
 class TestMaskSerialization:

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
-from conftest import axis_step, make_rng, random_image, synthetic_mr_slice
+from conftest import axis_step, make_rng, random_image, scalar_pass, synthetic_mr_slice
 
 from mrdenoise import (
     NoiseSpec,
     PipelineConfig,
     PixelClass,
     Thresholds,
-    classify,
     denoise,
-    denoise_iteration,
     denoise_with_stats,
     inject_rvin,
     median_filter,
@@ -17,10 +15,16 @@ from mrdenoise import (
     restore_pixel,
     write_class_stats_csv,
 )
+from mrdenoise.pipeline import _DIRECT_NOISY_EDGE, _drive, classify
 
 
 def padded(img):
     return np.pad(img, 2, mode="edge")
+
+
+def one_pass(gate_active: bool = True) -> PipelineConfig:
+    """A single pass with or without the candidate similarity gate."""
+    return PipelineConfig(iterations=1, iteration1_skips_similarity_gate=not gate_active)
 
 
 class TestConfig:
@@ -114,12 +118,12 @@ class TestDenoiseIteration:
     def test_uniform_identity(self):
         img = np.full((12, 9), 123, np.uint8)
         for gate in (True, False):
-            assert np.array_equal(denoise_iteration(img, gate_active=gate), img)
+            assert np.array_equal(denoise(img, one_pass(gate)), img)
 
     def test_single_impulse_removed(self):
         img = np.full((16, 16), 10, np.uint8)
         img[8, 8] = 255
-        out = denoise_iteration(img)
+        out = denoise(img, one_pass())
         assert out[8, 8] == 10
         expected = img.copy()
         expected[8, 8] = 10
@@ -127,30 +131,30 @@ class TestDenoiseIteration:
 
     def test_clean_step_edge_is_fixed_point(self):
         img = axis_step()
-        once = denoise_iteration(img)
+        once = denoise(img, one_pass())
         assert np.array_equal(once, img)
-        assert np.array_equal(denoise_iteration(once), img)
+        assert np.array_equal(denoise(once, one_pass()), img)
 
     def test_undersized_rejected(self):
         with pytest.raises(ValueError):
-            denoise_iteration(np.zeros((4, 8), np.uint8))
+            denoise(np.zeros((4, 8), np.uint8), one_pass())
 
 
 class TestDenoise:
     def test_single_iteration_equals_gateless_pass(self):
         img = random_image(31, 24, 18)
         cfg = PipelineConfig(iterations=1)
-        assert np.array_equal(denoise(img, cfg), denoise_iteration(img, cfg, gate_active=False))
+        assert np.array_equal(denoise(img, cfg), scalar_pass(img, cfg, gate_active=False))
 
     def test_no_bypass_first_iteration_runs_full_gate(self):
         img = random_image(32, 24, 18)
         cfg = PipelineConfig(iterations=1, iteration1_skips_similarity_gate=False)
-        assert np.array_equal(denoise(img, cfg), denoise_iteration(img, cfg, gate_active=True))
+        assert np.array_equal(denoise(img, cfg), scalar_pass(img, cfg, gate_active=True))
 
     def test_skip_candidate_path_config(self):
         img = random_image(33, 24, 18)
         cfg = PipelineConfig(iterations=1, iteration1_skips_noisy_pixel_check=True)
-        expected = denoise_iteration(img, cfg, gate_active=False, skip_noisy_pixel_check=True)
+        expected = scalar_pass(img, cfg, gate_active=False, skip_npc=True)
         assert np.array_equal(denoise(img, cfg), expected)
         # with the candidate path disabled, smooth pixels all survive
         uniform = np.full((10, 10), 55, np.uint8)
@@ -175,11 +179,18 @@ class TestDenoise:
         out = denoise(img)
         assert out.shape == img.shape and out.dtype == np.uint8
 
-    def test_worker_counts_agree(self):
+    def test_row_chunkings_agree(self):
         img = random_image(36, 45, 33)
-        base = denoise(img, workers=1)
-        for workers in (2, 3, 7):
-            assert np.array_equal(denoise(img, workers=workers), base)
+        cfg = PipelineConfig(iterations=3)
+        base, stats = denoise_with_stats(img, cfg)
+        for rows in (1, 2, 3, 7, 44):
+            tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in range(cfg.iterations)]
+            chunks = (img[r : r + rows] for r in range(0, img.shape[0], rows))
+            out = np.concatenate(list(_drive(chunks, cfg, tallies)))
+            assert np.array_equal(out, base), rows
+            assert [[int(t[c]) for c in PixelClass] for t in tallies] == [
+                [counts[c] for c in PixelClass] for counts in stats
+            ]
 
     def test_locality_radius(self):
         cfg = PipelineConfig()

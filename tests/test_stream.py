@@ -1,8 +1,9 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
-from conftest import make_rng, random_image, synthetic_mr_slice
+from conftest import make_rng, random_image, scalar_pass, synthetic_mr_slice
 
 from mrdenoise import (
     MODULE_NAMES,
@@ -10,17 +11,13 @@ from mrdenoise import (
     PipelineConfig,
     PixelClass,
     Thresholds,
-    classify_window,
     denoise,
-    denoise_iteration,
     denoise_with_stats,
     inject_rvin,
-    restore_pixel,
     stream_denoise,
     stream_denoise_with_stats,
 )
-from mrdenoise.pipeline import _schedule
-from mrdenoise.stream import _pass_rows
+from mrdenoise.pipeline import _DIRECT_NOISY_EDGE, _drive
 
 BIG = 10**6
 
@@ -28,25 +25,7 @@ BIG = 10**6
 def oracle_module_counts(img, cfg, gate_active, skip_npc):
     """Stage counts of one pass, from the scalar specification on every pixel."""
     counters = dict.fromkeys(MODULE_NAMES, 0)
-    padded = np.pad(img, 2, mode="edge").tolist()
-    h, w = img.shape
-    for r in range(h):
-        for c in range(w):
-            w5 = [v for row in padded[r : r + 5] for v in row[c : c + 5]]
-            w3 = w5[6:9] + w5[11:14] + w5[16:19]
-            f = sorted(w3)
-            counters["sorter"] += 1
-            cls = classify_window(
-                w3,
-                w5,
-                f,
-                cfg.thresholds,
-                gate_active=gate_active,
-                skip_noisy_pixel_check=skip_npc,
-                weights_inside_abs=cfg.eq4_literal_weights,
-                counters=counters,
-            )
-            restore_pixel(cls, w3, w5, f, counters)
+    scalar_pass(img, cfg, gate_active, skip_npc, counters)
     return counters
 
 
@@ -58,25 +37,22 @@ class TestRowRing:
 
         def source():
             nonlocal read
-            for row in img:
+            for row in img[:, None]:
                 read += 1
                 yield row
 
-        rows = source()
-        for gate_active, skip_npc in _schedule(cfg):
-            tally = np.zeros(len(PixelClass) + 1, np.int64)
-            rows = _pass_rows(rows, cfg, gate_active, skip_npc, tally)
+        tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in range(cfg.iterations)]
         emitted = []
-        for r, row in enumerate(rows):
+        for r, rows in enumerate(_drive(source(), cfg, tallies)):
             # row r of the last pass needs input rows up to r + 2 per pass
+            assert rows.shape[0] == 1
             assert read == min(img.shape[0], r + 1 + 2 * cfg.iterations)
-            emitted.append(row)
-        assert np.array_equal(np.stack(emitted), denoise(img, cfg))
+            emitted.append(rows)
+        assert np.array_equal(np.concatenate(emitted), denoise(img, cfg))
 
     def test_uniform_rows(self):
         img = np.full((6, 8), 31, np.uint8)
         assert np.array_equal(stream_denoise(img), img)
-
 
 
 class TestStreamDenoise:
@@ -93,9 +69,7 @@ class TestStreamDenoise:
         img = random_image(53, 9, 12)
         cfg = PipelineConfig(iterations=1)
         assert np.array_equal(stream_denoise(img, cfg), denoise(img, cfg))
-        assert np.array_equal(
-            stream_denoise(img, cfg), denoise_iteration(img, cfg, gate_active=False)
-        )
+        assert np.array_equal(stream_denoise(img, cfg), scalar_pass(img, cfg, gate_active=False))
 
     def test_matches_frame_with_nondefault_config(self):
         img = random_image(54, 20, 15)
@@ -110,6 +84,11 @@ class TestStreamDenoise:
     def test_undersized_rejected(self):
         with pytest.raises(ValueError):
             stream_denoise(np.zeros((4, 9), np.uint8))
+
+    def test_pass_count_beyond_recursion_limit(self):
+        img = random_image(57, 5, 5)
+        cfg = PipelineConfig(iterations=sys.getrecursionlimit() + 100)
+        assert np.array_equal(stream_denoise(img, cfg), denoise(img, cfg))
 
 
 class TestStreamStats:
