@@ -7,8 +7,6 @@ median-filter baselines, PGM I/O, PSNR metrics, and a CLI (``mrdenoise``).
 """
 
 from .detect import (
-    Direction,
-    DirectionalDistances,
     Thresholds,
     directional_distances,
     disorder,
@@ -69,8 +67,6 @@ __all__ = [
     "gray_to_mask",
     "write_mask",
     "read_mask",
-    "Direction",
-    "DirectionalDistances",
     "Thresholds",
     "parse_thresholds_config",
     "load_thresholds",

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from enum import IntEnum
 from pathlib import Path
 
 __all__ = [
-    "Direction",
     "Thresholds",
-    "DirectionalDistances",
     "parse_thresholds_config",
     "load_thresholds",
     "type1_edge",
@@ -31,16 +28,8 @@ __all__ = [
 ]
 
 
-class Direction(IntEnum):
-    """The four principal line directions through a 5x5 window center."""
-
-    HORIZONTAL = 0
-    VERTICAL = 1
-    DIAGONAL = 2
-    ANTI_DIAGONAL = 3
-
-
-# Flat 5x5 indices (center is 12) of each direction's pixels. Near pixels
+# Flat 5x5 indices (center is 12) of each direction's pixels, in H, V, D,
+# AD (horizontal, vertical, diagonal, anti-diagonal) order. Near pixels
 # touch the center; far pixels sit at distance two and carry half weight.
 NEAR_PIXELS = ((11, 13), (7, 17), (6, 18), (8, 16))
 FAR_PIXELS = ((10, 14), (2, 22), (0, 24), (4, 20))
@@ -105,35 +94,6 @@ def load_thresholds(path: str | os.PathLike) -> Thresholds:
     return parse_thresholds_config(Path(path).read_text(encoding="utf-8"))
 
 
-@dataclass(frozen=True)
-class DirectionalDistances:
-    """Weighted distances of the center to its four direction lines.
-
-    Distances are stored in half-intensity units (`d_half`) so the
-    half-weighted far pixels stay exact integers; `d` reports the true
-    values, which may end in .5.
-    """
-
-    d_half: tuple[int, int, int, int]
-
-    @property
-    def d(self) -> tuple[float, float, float, float]:
-        return tuple(v / 2 for v in self.d_half)
-
-    @property
-    def dmin_half(self) -> int:
-        return min(self.d_half)
-
-    @property
-    def dmin(self) -> float:
-        return self.dmin_half / 2
-
-    @property
-    def argmin(self) -> Direction:
-        """First direction attaining the minimum, in H, V, D, AD order."""
-        return Direction(self.d_half.index(self.dmin_half))
-
-
 def type1_edge(f, t1: int) -> bool:
     """Sorted-gap edge test on the sorted 3x3 values F1..F9.
 
@@ -143,26 +103,25 @@ def type1_edge(f, t1: int) -> bool:
     return int(f[4]) - int(f[3]) > t1 or int(f[5]) - int(f[4]) > t1
 
 
-def directional_distances(w5, *, weights_inside_abs: bool = False) -> DirectionalDistances:
+def directional_distances(w5, *, weights_inside_abs: bool = False) -> tuple[int, int, int, int]:
     """Weighted absolute-difference distance along each direction line.
 
     For each direction the two near pixels contribute |center - pixel|
-    with weight 1 and the two far pixels with weight 1/2; the sum is kept
-    in exact half-unit fixed point. With ``weights_inside_abs`` the half
-    weight is applied to the pixel before the difference (|center -
-    pixel/2|), an alternate form kept for fidelity experiments; note it is
-    nonzero even on uniform windows.
+    with weight 1 and the two far pixels with weight 1/2. The four
+    distances come back in H, V, D, AD order and in exact half units
+    (twice the true distance), so the half weights stay integers. With
+    ``weights_inside_abs`` the half weight is applied to the pixel before
+    the difference (|center - pixel/2|), an alternate form kept for
+    fidelity experiments; note it is nonzero even on uniform windows.
     """
     c = int(w5[12])
-    halves = []
-    for (n1, n2), (f1, f2) in zip(NEAR_PIXELS, FAR_PIXELS):
-        near = abs(c - int(w5[n1])) + abs(c - int(w5[n2]))
-        if weights_inside_abs:
-            far = abs(2 * c - int(w5[f1])) + abs(2 * c - int(w5[f2]))
-        else:
-            far = abs(c - int(w5[f1])) + abs(c - int(w5[f2]))
-        halves.append(2 * near + far)
-    return DirectionalDistances(tuple(halves))
+    k = 2 if weights_inside_abs else 1
+    return tuple(
+        2 * (abs(c - int(w5[n1])) + abs(c - int(w5[n2])))
+        + abs(k * c - int(w5[f1]))
+        + abs(k * c - int(w5[f2]))
+        for (n1, n2), (f1, f2) in zip(NEAR_PIXELS, FAR_PIXELS)
+    )
 
 
 def type2_edge(w5, t2: int, *, weights_inside_abs: bool = False) -> bool:
@@ -172,8 +131,7 @@ def type2_edge(w5, t2: int, *, weights_inside_abs: bool = False) -> bool:
     distance strictly above t2; a small minimum distance means the center
     sits on a clean edge line.
     """
-    dd = directional_distances(w5, weights_inside_abs=weights_inside_abs)
-    return dd.dmin_half > 2 * t2
+    return min(directional_distances(w5, weights_inside_abs=weights_inside_abs)) > 2 * t2
 
 
 def disorder(p5: int, f, t3: int) -> bool:

@@ -26,11 +26,11 @@ unconditionally.
 
 from __future__ import annotations
 
-import csv
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -237,6 +237,21 @@ def _window_planes(padded: np.ndarray, size: int) -> list[np.ndarray]:
     ]
 
 
+def _first_min(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Per pixel, the value paired with the smallest key; the first minimum wins ties.
+
+    The compare-and-select chain of the scalar edge-preserve filters: a
+    strictly smaller key replaces the best so far.
+    """
+    pairs = iter(pairs)
+    best_key, best = next(pairs)
+    for key, value in pairs:
+        take = key < best_key
+        best_key = np.where(take, key, best_key)
+        best = np.where(take, value, best)
+    return best
+
+
 def _iterate_block(
     padded: np.ndarray,
     th: Thresholds,
@@ -249,11 +264,14 @@ def _iterate_block(
     Returns the restored block, its class plane, and the number of edge
     pixels the directional test alone marks noisy (those skip the
     similarity check). All arithmetic is exact integer work mirroring the
-    scalar stage functions, so frame and stream outputs agree bit for bit.
+    scalar stage functions, and each filter selects its candidate as they
+    do (first minimum in H, V, D, AD order), so frame and stream outputs
+    agree bit for bit.
     """
     p3 = _window_planes(padded, 3)
     center = p3[4]
-    f = np.sort(np.stack(p3), axis=0)
+    f = np.stack(p3)
+    f.sort(axis=0)  # in place: one copy of the nine planes, not two
 
     edge = (f[4] - f[3] > th.t1) | (f[5] - f[4] > th.t1)
     sim_count = np.zeros(center.shape, np.int32)
@@ -266,19 +284,19 @@ def _iterate_block(
         & (np.abs(center - f[4]) > th.t3)
     )
     candidate = (f[8] - center < th.t4) | (center - f[0] < th.t4)
+    avg = (f[3] + f[4] + f[5] + 1) // 3
+    del f  # free the sorted planes before the 5x5 stage
 
     p5 = _window_planes(padded, 5)
-    d_half = []
-    for (n1, n2), (f1, f2) in zip(NEAR_PIXELS, FAR_PIXELS):
-        near = np.abs(center - p5[n1]) + np.abs(center - p5[n2])
-        if weights_inside_abs:
-            far = np.abs(2 * center - p5[f1]) + np.abs(2 * center - p5[f2])
-        else:
-            far = np.abs(center - p5[f1]) + np.abs(center - p5[f2])
-        d_half.append(2 * near + far)
-    noisy_edge = np.minimum.reduce(d_half) > 2 * th.t2
+    lines = [tuple(p5[i] for i in near + far) for near, far in zip(NEAR_PIXELS, FAR_PIXELS)]
+    kc = (2 if weights_inside_abs else 1) * center
+    d_half = (
+        2 * (np.abs(center - n1) + np.abs(center - n2)) + np.abs(kc - f1) + np.abs(kc - f2)
+        for n1, n2, f1, f2 in lines
+    )
+    noisy_edge = reduce(np.minimum, d_half) > 2 * th.t2
 
-    ke, ne, dis, ns, ks, rc = (int(c) for c in PixelClass)
+    ke, ne, dis, ns, ks, rc = (np.uint8(c) for c in PixelClass)
     if skip_npc:
         cand_branch = ks
     elif gate_active:
@@ -289,30 +307,18 @@ def _iterate_block(
         edge,
         np.where(noisy_edge, ne, np.where(similar, ke, ne)),
         np.where(disordered, dis, np.where(candidate, cand_branch, ks)),
-    ).astype(np.uint8)
+    )
 
-    avg = (f[3] + f[4] + f[5] + 1) // 3
+    t1ep = _first_min((np.abs(p3[a] - p3[b]), (p3[a] + p3[b] + 1) // 2) for a, b in _PAIRS)
 
-    pair_diffs = np.stack([np.abs(p3[a] - p3[b]) for a, b in _PAIRS])
-    pair_means = np.stack([(p3[a] + p3[b] + 1) // 2 for a, b in _PAIRS])
-    pick = np.argmin(pair_diffs, axis=0)  # first minimum wins ties
-    t1ep = np.take_along_axis(pair_means, pick[None], axis=0)[0]
-
-    spreads = []
-    medians = []
-    for (n1, n2), (f1, f2) in zip(NEAR_PIXELS, FAR_PIXELS):
-        line = (p5[n1], p5[n2], p5[f1], p5[f2])
+    def spread_and_median(line):
         s = line[0] + line[1] + line[2] + line[3]
-        spreads.append(sum(np.abs(4 * v - s) for v in line))
-        mn = np.minimum.reduce(line)
-        mx = np.maximum.reduce(line)
-        medians.append((s - mn - mx + 1) // 2)
-    pick2 = np.argmin(np.stack(spreads), axis=0)
-    t2ep = np.take_along_axis(np.stack(medians), pick2[None], axis=0)[0]
+        spread = sum(np.abs(4 * v - s) for v in line)
+        return spread, (s - reduce(np.minimum, line) - reduce(np.maximum, line) + 1) // 2
 
-    out = np.where(
-        cls == ne, t2ep, np.where(cls == dis, t1ep, np.where(cls == ns, avg, center))
-    ).astype(np.uint8)
+    t2ep = _first_min(spread_and_median(line) for line in lines)
+
+    out = np.choose(cls, (center, t2ep, t1ep, avg, center, center)).astype(np.uint8)
     return out, cls, int(np.count_nonzero(edge & noisy_edge))
 
 
@@ -387,16 +393,19 @@ def _drive(
     """
     schedule = _schedule(cfg)
     carries: list[np.ndarray | None] = [None] * len(schedule)
+    cols = None
     flushes = ((k, None) for k in range(len(schedule)) for _ in range(2))
     for first, rows in chain(((0, chunk) for chunk in chunks), flushes):
+        if cols is None:
+            cols = np.clip(np.arange(-2, rows.shape[1] + 2), 0, rows.shape[1] - 1)
         for k in range(first, len(schedule)):
             carry = carries[k]
             if rows is None:
                 block = np.concatenate([carry, carry[-1:]])
-            elif carry is None:
-                block = np.pad(rows, ((2, 0), (2, 2)), mode="edge").astype(np.int32)
             else:
-                block = np.concatenate([carry, np.pad(rows, ((0, 0), (2, 2)), mode="edge")])
+                padded = rows[:, cols]
+                top = padded[[0, 0]] if carry is None else carry
+                block = np.concatenate([top, padded], dtype=np.int32)
             carries[k] = block[-4:].copy()  # a view would keep the whole block alive
             if len(block) < 5:
                 break  # no full window yet, so nothing reaches the later passes
@@ -473,13 +482,10 @@ def write_class_stats_csv(
     Streaming-engine module invocation counts, when provided, are appended
     as extra rows with the class column spelled ``stream.<module>``.
     """
+    lines = ["iteration,class,count"]
+    for i, counts in enumerate(class_counts, start=1):
+        lines += [f"{i},{cls.label},{counts.get(cls, 0)}" for cls in PixelClass]
+    for i, modules in enumerate(module_counts or (), start=1):
+        lines += [f"{i},stream.{name},{count}" for name, count in modules.items()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "class", "count"])
-        for i, counts in enumerate(class_counts, start=1):
-            for cls in PixelClass:
-                writer.writerow([i, cls.label, counts.get(cls, 0)])
-        if module_counts:
-            for i, modules in enumerate(module_counts, start=1):
-                for name, count in modules.items():
-                    writer.writerow([i, f"stream.{name}", count])
+        fh.write("\n".join(lines) + "\n")

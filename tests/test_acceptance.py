@@ -125,21 +125,21 @@ def test_detector_unit_examples():
     assert not type1_edge([100] * 9, 20)
     assert type1_edge([0, 0, 0, 0, 0, 255, 255, 255, 255], 20)
     assert not type1_edge([10, 11, 12, 13, 14, 15, 16, 17, 18], 20)
-    # directional distances: uniform, step edge, corrupted center, exact halves
+    # directional distances in half units (H, V, D, AD): uniform, step
+    # edge, corrupted center, exact halves
     flat = directional_distances([60] * 25)
-    assert flat.d == (0.0, 0.0, 0.0, 0.0)
-    assert flat.dmin == 0.0 and flat.argmin.name == "HORIZONTAL"
+    assert flat == (0, 0, 0, 0)
+    assert min(flat) == 0 and flat.index(min(flat)) == 0  # horizontal
     step = []
     for _ in range(5):
         step += [0, 0, 200, 200, 200]
     dd = directional_distances(step)
-    assert dd.d[0] == 300.0 and dd.d_half[0] == 600
-    assert dd.dmin == 0.0 and dd.argmin.name == "VERTICAL"
+    assert dd[0] == 600  # 300 in intensity units
+    assert min(dd) == 0 and dd.index(min(dd)) == 1  # vertical
     impulse = [50] * 25
     impulse[12] = 255
     dd2 = directional_distances(impulse)
-    assert dd2.d == (615.0, 615.0, 615.0, 615.0)
-    assert dd2.d_half == (1230, 1230, 1230, 1230)
+    assert dd2 == (1230, 1230, 1230, 1230)  # 615 in intensity units
     # noisy-edge test
     assert not type2_edge([80] * 25, 150)
     assert not type2_edge(step, 150)
@@ -210,7 +210,7 @@ def test_invariant_brightness_shift():
         assert disorder(w3[4], f, 30) == disorder(s3[4], fs, 30)
         assert noisy_pixel(w3[4], f, 10) == noisy_pixel(s3[4], fs, 10)
         assert similarity(w3, 10, 6) == similarity(s3, 10, 6)
-        assert directional_distances(s5).d_half == directional_distances(w5).d_half
+        assert directional_distances(s5) == directional_distances(w5)
     _report("invariant-brightness-shift", "1000 random windows, all classifiers")
 
 

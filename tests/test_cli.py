@@ -9,6 +9,8 @@ from conftest import random_image
 
 from mrdenoise import (
     NoiseSpec,
+    PipelineConfig,
+    Thresholds,
     denoise,
     inject_rvin,
     median_filter,
@@ -182,6 +184,53 @@ class TestDenoise:
     def test_unknown_flag_usage_error(self, tmp_path, sample):
         _, inp = sample
         assert run_cli("denoise", inp, tmp_path / "o.pgm", "--bogus") == 2
+
+
+class TestConfigFile:
+    def test_comments_blank_lines_and_upper_case_keys(self, tmp_path, sample):
+        img, inp = sample
+        config = tmp_path / "th.cfg"
+        config.write_text("# thresholds\n\nT1 = 12  # edge gap\n  t4=3\n\n", encoding="utf-8")
+        out = tmp_path / "o.pgm"
+        assert run_cli("denoise", inp, out, "--config", config) == 0
+        cfg = PipelineConfig(thresholds=Thresholds(t1=12, t4=3))
+        assert np.array_equal(read_pgm(out), denoise(img, cfg))
+
+    def test_flag_overrides_file(self, tmp_path, sample):
+        img, inp = sample
+        config = tmp_path / "th.cfg"
+        config.write_text("t1=12\nt2=90\n", encoding="utf-8")
+        out = tmp_path / "o.pgm"
+        assert run_cli("denoise", inp, out, "--config", config, "--t1", "35") == 0
+        cfg = PipelineConfig(thresholds=Thresholds(t1=35, t2=90))
+        assert np.array_equal(read_pgm(out), denoise(img, cfg))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t1=5\nt9=3\n", "line 2: unknown threshold 't9'"),
+            ("t2=5\n# again\nT2=6\n", "line 3: duplicate threshold 't2'"),
+            ("t1=5\nt3 7\n", "line 2: expected key=value, got 't3 7'"),
+            ("t4=ten\n", "line 1: invalid integer for t4: 'ten'"),
+            ("t5=9\n", "t5 counts 3x3 neighbors and cannot exceed 8"),
+            ("t3=-1\n", "t3 must be nonnegative"),
+        ],
+        ids=["unknown-key", "duplicate-key", "missing-equals", "non-integer", "t5-9", "negative"],
+    )
+    def test_invalid_file_usage_error(self, tmp_path, sample, capsys, text, message):
+        _, inp = sample
+        config = tmp_path / "th.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert run_cli("denoise", inp, tmp_path / "o.pgm", "--config", config) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o.pgm").exists()
+
+    def test_missing_file_io_error(self, tmp_path, sample, capsys):
+        _, inp = sample
+        missing = tmp_path / "absent.cfg"
+        assert run_cli("denoise", inp, tmp_path / "o.pgm", "--config", missing) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.cfg" in err
 
 
 class TestEval:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrdenoise import (
-    Direction,
     Thresholds,
     directional_distances,
     disorder,
@@ -17,6 +16,9 @@ from mrdenoise import (
 window3s = st.lists(st.integers(0, 255), min_size=9, max_size=9)
 window5s = st.lists(st.integers(0, 255), min_size=25, max_size=25)
 sorted9s = window3s.map(sorted)
+
+# positions in the tuple that directional_distances returns
+H, V, D, AD = range(4)
 
 
 def vertical_step_window5():
@@ -59,63 +61,63 @@ class TestType1Edge:
 
 
 class TestDirectionalDistances:
+    # distances are in half units, twice the true weighted distance
+
     def test_uniform_window(self):
         dd = directional_distances([42] * 25)
-        assert dd.d == (0.0, 0.0, 0.0, 0.0)
-        assert dd.dmin == 0.0
-        assert dd.argmin is Direction.HORIZONTAL
+        assert dd == (0, 0, 0, 0)
+        assert min(dd) == 0
+        assert dd.index(min(dd)) == H
 
     def test_vertical_step_edge(self):
         dd = directional_distances(vertical_step_window5())
         # along the edge the distance vanishes; across it: 1*200 + 0.5*200
-        assert dd.d[Direction.VERTICAL] == 0.0
-        assert dd.d[Direction.HORIZONTAL] == 300.0
-        assert dd.d_half[Direction.HORIZONTAL] == 600
-        assert dd.dmin == 0.0
-        assert dd.argmin is Direction.VERTICAL
+        assert dd[V] == 0
+        assert dd[H] == 600
+        assert min(dd) == 0
+        assert dd.index(min(dd)) == V
 
     def test_corrupted_center_in_uniform_field(self):
         w = [50] * 25
         w[12] = 255
         dd = directional_distances(w)
         # every line sees |255-50| * (1 + 1 + 0.5 + 0.5)
-        assert dd.d == (615.0, 615.0, 615.0, 615.0)
-        assert dd.d_half == (1230, 1230, 1230, 1230)
+        assert dd == (1230, 1230, 1230, 1230)
 
     def test_half_unit_exactness(self):
         w = [0] * 25
         w[12] = 1  # far neighbors contribute 0.5 each
         dd = directional_distances(w)
-        assert dd.d == (3.0, 3.0, 3.0, 3.0)
+        assert dd == (6, 6, 6, 6)
         w[0] = 1  # kill one far diagonal difference
-        assert directional_distances(w).d[Direction.DIAGONAL] == 2.5
+        assert directional_distances(w)[D] == 5
 
     def test_weights_inside_abs_variant(self):
         # the alternate form is nonzero even on uniform windows
         dd = directional_distances([100] * 25, weights_inside_abs=True)
-        assert dd.d == (100.0, 100.0, 100.0, 100.0)
-        assert directional_distances([100] * 25).d == (0.0, 0.0, 0.0, 0.0)
+        assert dd == (200, 200, 200, 200)
+        assert directional_distances([100] * 25) == (0, 0, 0, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(window5s)
     def test_nonnegative_and_min_consistent(self, w):
         dd = directional_distances(w)
-        assert all(v >= 0 for v in dd.d_half)
-        assert all(dd.dmin_half <= v for v in dd.d_half)
-        assert dd.d_half[dd.argmin] == dd.dmin_half
+        assert all(v >= 0 for v in dd)
+        assert all(min(dd) <= v for v in dd)
+        assert dd[dd.index(min(dd))] == min(dd)
 
     @settings(max_examples=300, deadline=None)
     @given(window5s)
     def test_rotation_swaps_directions(self, w):
         arr = np.array(w).reshape(5, 5)
         rotated = np.rot90(arr).ravel().tolist()
-        d = directional_distances(w).d
-        dr = directional_distances(rotated).d
-        assert dr[Direction.HORIZONTAL] == d[Direction.VERTICAL]
-        assert dr[Direction.VERTICAL] == d[Direction.HORIZONTAL]
-        assert dr[Direction.DIAGONAL] == d[Direction.ANTI_DIAGONAL]
-        assert dr[Direction.ANTI_DIAGONAL] == d[Direction.DIAGONAL]
-        assert directional_distances(rotated).dmin == directional_distances(w).dmin
+        d = directional_distances(w)
+        dr = directional_distances(rotated)
+        assert dr[H] == d[V]
+        assert dr[V] == d[H]
+        assert dr[D] == d[AD]
+        assert dr[AD] == d[D]
+        assert min(dr) == min(d)
 
 
 class TestType2Edge:
@@ -240,4 +242,4 @@ class TestBrightnessShiftInvariance:
         assert disorder(w3[4], f, 30) == disorder(shifted3[4], fs, 30)
         assert noisy_pixel(w3[4], f, 10) == noisy_pixel(shifted3[4], fs, 10)
         assert similarity(w3, 10, 6) == similarity(shifted3, 10, 6)
-        assert directional_distances(shifted5).d_half == directional_distances(w5).d_half
+        assert directional_distances(shifted5) == directional_distances(w5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import axis_step, make_rng, random_image, scalar_pass, synthetic_mr_slice
@@ -160,6 +162,40 @@ class TestDenoise:
         uniform = np.full((10, 10), 55, np.uint8)
         assert np.array_equal(denoise(uniform, cfg), uniform)
 
+    def test_tie_heavy_images_match_scalar_oracle(self):
+        # few distinct values make the edge-preserve filters' candidate
+        # keys tie often, so the first-minimum rule decides many pixels
+        g = make_rng(4400)
+        seen = dict.fromkeys(PixelClass, 0)
+        for trial in range(40):
+            alphabet = g.integers(0, 256, int(g.integers(2, 6)))
+            h, w = (int(v) for v in g.integers(5, 17, 2))
+            img = alphabet[g.integers(0, len(alphabet), (h, w))].astype(np.uint8)
+            thresholds = Thresholds(
+                t1=int(g.integers(0, 60)),
+                t2=int(g.integers(0, 400)),
+                t3=int(g.integers(0, 70)),
+                t4=int(g.integers(0, 25)),
+                t5=int(g.integers(0, 9)),
+            )
+            for skip_gate in (False, True):
+                for skip_npc in (False, True):
+                    for eq4_literal in (False, True):
+                        cfg = PipelineConfig(
+                            thresholds=thresholds,
+                            iterations=1,
+                            iteration1_skips_similarity_gate=skip_gate,
+                            iteration1_skips_noisy_pixel_check=skip_npc,
+                            eq4_literal_weights=eq4_literal,
+                        )
+                        out, (counts,) = denoise_with_stats(img, cfg)
+                        expected = scalar_pass(img, cfg, not skip_gate, skip_npc)
+                        assert np.array_equal(out, expected), f"trial {trial}: {cfg}"
+                        for cls, n in counts.items():
+                            seen[cls] += n
+        assert seen[PixelClass.NOISY_EDGE] > 0
+        assert seen[PixelClass.DISORDERED] > 0
+
     def test_noisy_uniform_image_improves(self):
         img = np.full((256, 256), 100, np.uint8)
         noisy, _ = inject_rvin(img, NoiseSpec.rvin(0.10, seed=5))
@@ -219,6 +255,23 @@ class TestDenoise:
             )
             cfg = PipelineConfig(thresholds=th, iterations=1, iteration1_skips_similarity_gate=False)
             assert denoise(img, cfg)[6, 6] == 77
+
+
+class TestMemory:
+    def test_pass_peak_within_plane_budget(self):
+        # one pass on a 256x256 frame may hold at most 36 int32 planes of
+        # the 2-pixel-padded 260x260 frame at once (about 9.3 MiB)
+        noisy, _ = inject_rvin(synthetic_mr_slice(3), NoiseSpec.rvin(0.20, seed=7))
+        cfg = PipelineConfig(iterations=1)
+        denoise_with_stats(noisy, cfg)  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            denoise_with_stats(noisy, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        plane = 260 * 260 * np.dtype(np.int32).itemsize
+        assert peak <= 36 * plane, f"peak {peak / plane:.1f} planes"
 
 
 class TestStats:

@@ -22,11 +22,10 @@ from mrdenoise.pipeline import _DIRECT_NOISY_EDGE, _drive
 BIG = 10**6
 
 
-def oracle_module_counts(img, cfg, gate_active, skip_npc):
-    """Stage counts of one pass, from the scalar specification on every pixel."""
+def scalar_oracle(img, cfg, gate_active, skip_npc):
+    """Output and stage counts of one pass, from the scalar specification on every pixel."""
     counters = dict.fromkeys(MODULE_NAMES, 0)
-    scalar_pass(img, cfg, gate_active, skip_npc, counters)
-    return counters
+    return scalar_pass(img, cfg, gate_active, skip_npc, counters), counters
 
 
 class TestRowRing:
@@ -139,12 +138,13 @@ class TestStreamStats:
             iteration1_skips_noisy_pixel_check=skip_npc,
             eq4_literal_weights=eq4_literal,
         )
-        _, _, module_stats = stream_denoise_with_stats(noisy, cfg)
-        pass2_input = denoise(noisy, dataclasses.replace(cfg, iterations=1))
-        assert module_stats == [
-            oracle_module_counts(noisy, cfg, not skip_gate, skip_npc),
-            oracle_module_counts(pass2_input, cfg, True, False),
-        ]
+        out, _, module_stats = stream_denoise_with_stats(noisy, cfg)
+        pass1 = denoise(noisy, dataclasses.replace(cfg, iterations=1))
+        oracle1, counts1 = scalar_oracle(noisy, cfg, not skip_gate, skip_npc)
+        oracle2, counts2 = scalar_oracle(oracle1, cfg, True, False)
+        assert np.array_equal(pass1, oracle1)
+        assert np.array_equal(out, oracle2)
+        assert module_stats == [counts1, counts2]
         assert all(list(m) == list(MODULE_NAMES) for m in module_stats)
 
 
