@@ -57,6 +57,8 @@ class NoiseSpec:
             raise ValueError("p1 and p2 must be nonnegative with p1 + p2 <= 1")
         if not 0 <= self.m <= 127:
             raise ValueError(f"margin m must lie in [0, 127], got {self.m}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @classmethod
     def rvin(cls, p: float, seed: int = 0) -> "NoiseSpec":

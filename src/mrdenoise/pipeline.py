@@ -16,9 +16,11 @@ decision tree and restored by the filter matched to its class:
 Each pass reads only the output of the previous pass, which makes
 per-pixel work order-independent. One driver runs every pass over a
 stream of row chunks, handing each pass's restored rows to the next pass
-as they appear; the frame engine (:func:`denoise`) feeds it the whole
-image as one chunk and the stream engine (:mod:`mrdenoise.stream`) one
-row per chunk, and every chunking gives the same result. In the first
+as they appear; the frame engine (:func:`denoise`) feeds it cache-sized
+bands of rows and the stream engine (:mod:`mrdenoise.stream`) one row
+per chunk, and every chunking gives the same result. The kernel
+classifies every pixel of a chunk but runs each edge-preserve filter
+only on the pixels of its class. In the first
 pass of the default schedule the candidate rescue is bypassed (heavy
 noise makes neighbor similarity meaningless), so candidates are smoothed
 unconditionally.
@@ -252,6 +254,28 @@ def _first_min(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return best
 
 
+# rows and columns, in the 5x5 window, of the taps each edge-preserve filter
+# reads: the 3x3 pairs of type1_edge_preserve in _PAIRS order (the 3x3
+# window sits one pixel in), and the four pixels of each direction line of
+# type2_edge_preserve in H, V, D, AD order
+_PAIR_TAPS = np.add(np.divmod(np.ravel(_PAIRS), 3), 1)
+_LINE_TAPS = np.divmod(np.ravel([near + far for near, far in zip(NEAR_PIXELS, FAR_PIXELS)]), 5)
+
+
+def _pair_restore(taps: np.ndarray) -> np.ndarray:
+    """:func:`type1_edge_preserve` over columns of eight taps, two per pair."""
+    a, b = taps[0::2], taps[1::2]
+    return _first_min(zip(np.abs(a - b), (a + b + 1) // 2))
+
+
+def _line_restore(taps: np.ndarray) -> np.ndarray:
+    """:func:`type2_edge_preserve` over columns of sixteen taps, four per line."""
+    lines = taps.reshape(4, 4, -1)
+    s = lines.sum(axis=1, dtype=np.int32)
+    spread = np.abs(4 * lines - s[:, None]).sum(axis=1, dtype=np.int32)
+    return _first_min(zip(spread, (s - lines.min(axis=1) - lines.max(axis=1) + 1) // 2))
+
+
 def _iterate_block(
     padded: np.ndarray,
     th: Thresholds,
@@ -263,10 +287,12 @@ def _iterate_block(
 
     Returns the restored block, its class plane, and the number of edge
     pixels the directional test alone marks noisy (those skip the
-    similarity check). All arithmetic is exact integer work mirroring the
-    scalar stage functions, and each filter selects its candidate as they
-    do (first minimum in H, V, D, AD order), so frame and stream outputs
-    agree bit for bit.
+    similarity check). The classifiers run on whole planes; each
+    edge-preserve filter gathers the taps it reads for the pixels of its
+    class only, computes on those columns and scatters the results. All
+    arithmetic is exact integer work mirroring the scalar stage functions,
+    and each filter selects its candidate as they do (first minimum in H,
+    V, D, AD order), so frame and stream outputs agree bit for bit.
     """
     p3 = _window_planes(padded, 3)
     center = p3[4]
@@ -309,16 +335,17 @@ def _iterate_block(
         np.where(disordered, dis, np.where(candidate, cand_branch, ks)),
     )
 
-    t1ep = _first_min((np.abs(p3[a] - p3[b]), (p3[a] + p3[b] + 1) // 2) for a, b in _PAIRS)
-
-    def spread_and_median(line):
-        s = line[0] + line[1] + line[2] + line[3]
-        spread = sum(np.abs(4 * v - s) for v in line)
-        return spread, (s - reduce(np.minimum, line) - reduce(np.maximum, line) + 1) // 2
-
-    t2ep = _first_min(spread_and_median(line) for line in lines)
-
-    out = np.choose(cls, (center, t2ep, t1ep, avg, center, center)).astype(np.uint8)
+    out = center.astype(np.uint8)
+    np.copyto(out, avg, casting="unsafe", where=cls == ns)
+    flat, width = padded.ravel(), padded.shape[1]
+    for label, (tap_rows, tap_cols), restore in (
+        (dis, _PAIR_TAPS, _pair_restore),
+        (ne, _LINE_TAPS, _line_restore),
+    ):
+        r, c = np.nonzero(cls == label)
+        if r.size:
+            # pixel (r, c) has the top-left corner of its 5x5 window at padded[r, c]
+            out[r, c] = restore(flat[r * width + c + (tap_rows * width + tap_cols)[:, None]])
     return out, cls, int(np.count_nonzero(edge & noisy_edge))
 
 
@@ -385,38 +412,42 @@ def _drive(
     incoming chunk is column-padded and joined below the carry (the first
     chunk instead gets its top row twice above it), the joined block is
     restored by one kernel call, and the restored rows go on to the next
-    pass in the same loop. At the end of input each pass in turn is
-    flushed with its last row replicated, one row per step. That is the
-    frame's edge padding, so every chunking of an image gives the same
-    output. ``tallies[k]`` accumulates pass *k*'s class counts and its
-    direct noisy-edge count.
+    pass in the same loop. At the end of input each pass in turn gets one
+    more kernel call: the rows the previous pass's flush emitted, with the
+    pass's last input row replicated twice below them. That is the frame's
+    edge padding, so every chunking of an image gives the same output, and
+    a run makes one kernel call per pass per chunk plus one per pass. The
+    rows of that last call leave one at a time, as a row stream expects.
+    ``tallies[k]`` accumulates pass *k*'s class counts and its direct
+    noisy-edge count.
     """
     schedule = _schedule(cfg)
     carries: list[np.ndarray | None] = [None] * len(schedule)
     cols = None
-    flushes = ((k, None) for k in range(len(schedule)) for _ in range(2))
-    for first, rows in chain(((0, chunk) for chunk in chunks), flushes):
+    for rows in chain(chunks, [None]):
+        end = rows is None
         if cols is None:
             cols = np.clip(np.arange(-2, rows.shape[1] + 2), 0, rows.shape[1] - 1)
-        for k in range(first, len(schedule)):
+        for k, (gate_active, skip_npc) in enumerate(schedule):
             carry = carries[k]
-            if rows is None:
-                block = np.concatenate([carry, carry[-1:]])
+            if rows is None:  # end of input at the first pass
+                block = carry
             else:
                 padded = rows[:, cols]
                 top = padded[[0, 0]] if carry is None else carry
                 block = np.concatenate([top, padded], dtype=np.int32)
+            if end:
+                block = np.concatenate([block, block[[-1, -1]]])
             carries[k] = block[-4:].copy()  # a view would keep the whole block alive
             if len(block) < 5:
                 break  # no full window yet, so nothing reaches the later passes
-            gate_active, skip_npc = schedule[k]
             rows, cls, direct = _iterate_block(
                 block, cfg.thresholds, gate_active, skip_npc, cfg.eq4_literal_weights
             )
             tallies[k][:_DIRECT_NOISY_EDGE] += np.bincount(cls.ravel(), minlength=len(PixelClass))
             tallies[k][_DIRECT_NOISY_EDGE] += direct
         else:
-            yield rows
+            yield from np.split(rows, len(rows)) if end else [rows]
 
 
 def _run(
@@ -434,6 +465,13 @@ def _run(
     return out, class_stats, module_stats
 
 
+# pixels per frame-engine band. An int32 plane of a band is then 128 KiB,
+# so a kernel call's working planes, about 2 MiB, stay in cache; 2**15 ran
+# fastest, or within noise of the fastest, of 2**13..2**16 on both 1024-
+# and 256-wide frames.
+_BAND_PX = 2**15
+
+
 def denoise(img, cfg: PipelineConfig | None = None) -> np.ndarray:
     """Denoise *img* with the configured iteration schedule (default two passes)."""
     return denoise_with_stats(img, cfg)[0]
@@ -444,10 +482,15 @@ def denoise_with_stats(
 ) -> tuple[np.ndarray, list[dict[PixelClass, int]]]:
     """Like :func:`denoise` but also returns per-iteration class counts.
 
-    The whole frame is the pass driver's only chunk. The module counts
-    that the stream engine reports are computed as well but not returned.
+    The pass driver gets the frame in bands of ``_BAND_PX // width`` rows
+    (at least one), so each kernel call's planes stay in cache. The module
+    counts that the stream engine reports are computed as well but not
+    returned.
     """
-    out, class_stats, _ = _run([_require_denoisable(img)], cfg or PipelineConfig())
+    arr = _require_denoisable(img)
+    band = max(1, _BAND_PX // arr.shape[1])
+    bands = (arr[r : r + band] for r in range(0, arr.shape[0], band))
+    out, class_stats, _ = _run(bands, cfg or PipelineConfig())
     return out, class_stats
 
 

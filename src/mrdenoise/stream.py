@@ -1,7 +1,7 @@
 """Row-streaming engine: the frame pipeline's pass driver fed one row at a time.
 
-:func:`mrdenoise.pipeline.denoise` hands the pass driver the whole frame
-as one chunk; this engine hands it one image row per chunk. Each pass
+:func:`mrdenoise.pipeline.denoise` hands the pass driver the frame in
+cache-sized bands of rows; this engine hands it one image row per chunk. Each pass
 then holds only the last four padded rows it has seen and reads at most
 two rows ahead of the row it emits, so working memory is
 O(width x passes) rather than O(width x height). Outputs are

@@ -83,6 +83,14 @@ class TestInject:
         assert run_cli("inject", inp, tmp_path / "n.pgm", tmp_path / "m.pgm",
                        "--p", "1.5") == 2
 
+    def test_negative_seed_usage_error(self, tmp_path, sample, capsys):
+        _, inp = sample
+        noisy = tmp_path / "n.pgm"
+        assert run_cli("inject", inp, noisy, tmp_path / "m.pgm", "--p", "0.1",
+                       "--seed", "-5") == 2
+        assert "seed must be nonnegative, got -5" in capsys.readouterr().err
+        assert not noisy.exists()
+
     def test_missing_input_io_error(self, tmp_path):
         assert run_cli("inject", tmp_path / "ghost.pgm", tmp_path / "n.pgm",
                        tmp_path / "m.pgm", "--p", "0.1") == 1
@@ -288,6 +296,14 @@ class TestEval:
 
     def test_missing_corpus_io_error(self, tmp_path):
         assert run_cli("eval", tmp_path / "nowhere", "--out", tmp_path / "r.csv") == 1
+
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        corpus = self.make_corpus(tmp_path, count=1)
+        out = tmp_path / "r.csv"
+        assert run_cli("eval", corpus, "--out", out, "--densities", "0.1",
+                       "--methods", "median3", "--seed", "-7") == 2
+        assert "seed must be nonnegative, got -7" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_density_usage_error(self, tmp_path):
         corpus = self.make_corpus(tmp_path, count=1)

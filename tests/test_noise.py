@@ -24,6 +24,7 @@ class TestNoiseSpec:
             dict(kind="fvin", p1=-0.1),
             dict(kind="fvin", m=128),
             dict(kind="fvin", m=-1),
+            dict(kind="rvin", p=0.1, seed=-5),
         ],
     )
     def test_invalid_specs(self, kwargs):

@@ -17,7 +17,8 @@ from mrdenoise import (
     restore_pixel,
     write_class_stats_csv,
 )
-from mrdenoise.pipeline import _DIRECT_NOISY_EDGE, _drive, classify
+from mrdenoise import pipeline
+from mrdenoise.pipeline import _BAND_PX, _DIRECT_NOISY_EDGE, _drive, classify
 
 
 def padded(img):
@@ -27,6 +28,13 @@ def padded(img):
 def one_pass(gate_active: bool = True) -> PipelineConfig:
     """A single pass with or without the candidate similarity gate."""
     return PipelineConfig(iterations=1, iteration1_skips_similarity_gate=not gate_active)
+
+
+def drive_one_chunk(img, cfg):
+    """Output and per-pass class counts of the pass driver fed *img* as one chunk."""
+    tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in range(cfg.iterations)]
+    out = np.concatenate(list(_drive([img], cfg, tallies)))
+    return out, [{c: int(t[c]) for c in PixelClass} for t in tallies]
 
 
 class TestConfig:
@@ -219,7 +227,7 @@ class TestDenoise:
         img = random_image(36, 45, 33)
         cfg = PipelineConfig(iterations=3)
         base, stats = denoise_with_stats(img, cfg)
-        for rows in (1, 2, 3, 7, 44):
+        for rows in (1, 2, 3, 7, 43, 44, 45):
             tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in range(cfg.iterations)]
             chunks = (img[r : r + rows] for r in range(0, img.shape[0], rows))
             out = np.concatenate(list(_drive(chunks, cfg, tallies)))
@@ -227,6 +235,58 @@ class TestDenoise:
             assert [[int(t[c]) for c in PixelClass] for t in tallies] == [
                 [counts[c] for c in PixelClass] for counts in stats
             ]
+
+    def test_bands_match_one_chunk(self):
+        # the frame engine cuts the image into bands of _BAND_PX // width
+        # rows; heights leave a last band of 1 and of 2 rows, and a width
+        # above _BAND_PX gives one-row bands
+        cfg = PipelineConfig(iterations=3)
+        band = 16
+        cases = [(2 * band + 1, _BAND_PX // band), (2 * band + 2, _BAND_PX // band), (7, _BAND_PX + 3)]
+        for seed, (h, w) in enumerate(cases, start=60):
+            img, _ = inject_rvin(random_image(seed, h, w), NoiseSpec.rvin(0.3, seed=seed))
+            out, stats = denoise_with_stats(img, cfg)
+            expected, expected_stats = drive_one_chunk(img, cfg)
+            assert np.array_equal(out, expected), (h, w)
+            assert stats == expected_stats, (h, w)
+
+    def test_band_without_restore_pixels(self):
+        # three bands of a uniform field; only the middle one holds an
+        # impulse, so the other kernel calls have no Disordered or
+        # NoisyEdge pixel to restore
+        img = np.full((24, _BAND_PX // 8), 100, np.uint8)
+        img[12, 40] = 255
+        out, (counts,) = denoise_with_stats(img, one_pass())
+        assert counts[PixelClass.DISORDERED] == 1 and counts[PixelClass.NOISY_EDGE] == 0
+        assert np.array_equal(out, np.full_like(img, 100))
+        assert np.array_equal(out, drive_one_chunk(img, one_pass())[0])
+
+    def test_restore_class_covering_the_band(self):
+        img = random_image(101, 9, 11)
+        cfg = PipelineConfig(thresholds=Thresholds(t1=0, t2=0), iterations=1)
+        out, (counts,) = denoise_with_stats(img, cfg)
+        assert counts[PixelClass.NOISY_EDGE] == img.size
+        assert np.array_equal(out, scalar_pass(img, cfg, gate_active=False))
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 10])
+    def test_kernel_calls_linear_in_passes(self, monkeypatch, iterations):
+        # one kernel call per pass per chunk, plus one end-of-input call per pass
+        calls = 0
+        kernel = pipeline._iterate_block
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(pipeline, "_iterate_block", counting)
+        img = random_image(58, 96, 20)
+        cfg = PipelineConfig(iterations=iterations)
+        for rows in (96, 32):
+            calls = 0
+            tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in range(iterations)]
+            list(_drive((img[r : r + rows] for r in range(0, 96, rows)), cfg, tallies))
+            assert calls == iterations * (96 // rows + 1), rows
 
     def test_locality_radius(self):
         cfg = PipelineConfig()
@@ -272,6 +332,19 @@ class TestMemory:
             tracemalloc.stop()
         plane = 260 * 260 * np.dtype(np.int32).itemsize
         assert peak <= 36 * plane, f"peak {peak / plane:.1f} planes"
+
+    def test_banded_frame_peak_within_four_images(self):
+        # the frame engine holds one band's planes at a time, so a two-pass
+        # run on 1024x1024 needs little beyond the output image
+        noisy, _ = inject_rvin(synthetic_mr_slice(5, size=1024), NoiseSpec.rvin(0.05, seed=9))
+        denoise(noisy[:64])  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            denoise(noisy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * noisy.nbytes, f"peak {peak / noisy.nbytes:.2f} images"
 
 
 class TestStats:
