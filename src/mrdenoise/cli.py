@@ -1,8 +1,9 @@
 """Command-line front end: noise injection, denoising, and evaluation reports.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags, undersized or
-otherwise invalid inputs), 1 on I/O failures (unreadable files, malformed
-PGM content). All commands are deterministic given their flags and seed.
+otherwise invalid inputs), 1 on I/O failures (unreadable files, missing
+output directories, malformed PGM content). All commands are
+deterministic given their flags and seed.
 """
 
 from __future__ import annotations
@@ -151,6 +152,13 @@ def _config_from_args(args, parser) -> PipelineConfig:
         parser.error(str(exc))
 
 
+def _require_output_dirs(*paths) -> None:
+    """Refuse, before any input is read, an output path whose directory is missing."""
+    for parent in (Path(p).parent for p in paths if p):
+        if not parent.is_dir():
+            raise FileNotFoundError(f"output directory not found: {parent}")
+
+
 def _cmd_inject(args, parser) -> int:
     try:
         if args.kind == "rvin":
@@ -159,6 +167,7 @@ def _cmd_inject(args, parser) -> int:
             spec = NoiseSpec.fvin(args.p1, args.p2, m=args.m, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
+    _require_output_dirs(args.output, args.mask)
     clean = read_pgm(args.input)
     if spec.kind == "rvin":
         noisy, mask = inject_rvin(clean, spec)
@@ -173,6 +182,7 @@ def _cmd_inject(args, parser) -> int:
 
 def _cmd_denoise(args, parser) -> int:
     cfg = _config_from_args(args, parser)
+    _require_output_dirs(args.output, args.stats)
     noisy = read_pgm(args.input)
     if args.engine == "stream":
         out, class_stats, module_stats = stream_denoise_with_stats(noisy, cfg)
@@ -220,6 +230,9 @@ def _cmd_eval(args, parser) -> int:
     cfg = _config_from_args(args, parser)
     densities = _parse_densities(args.densities, parser)
     methods = _parse_methods(args.methods, parser)
+    if args.seed < 0:
+        parser.error(f"seed must be nonnegative, got {args.seed}")
+    _require_output_dirs(args.out)
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise OSError(f"corpus directory not found: {corpus}")
@@ -267,10 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "denoise":
             return _cmd_denoise(args, parser)
         return _cmd_eval(args, parser)
-    except PgmFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PgmFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

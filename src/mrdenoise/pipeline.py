@@ -16,14 +16,16 @@ decision tree and restored by the filter matched to its class:
 Each pass reads only the output of the previous pass, which makes
 per-pixel work order-independent. One driver runs every pass over a
 stream of row chunks, handing each pass's restored rows to the next pass
-as they appear; the frame engine (:func:`denoise`) feeds it cache-sized
-bands of rows and the stream engine (:mod:`mrdenoise.stream`) one row
-per chunk, and every chunking gives the same result. The kernel
-classifies every pixel of a chunk but runs each edge-preserve filter
-only on the pixels of its class. In the first
-pass of the default schedule the candidate rescue is bypassed (heavy
-noise makes neighbor similarity meaningless), so candidates are smoothed
-unconditionally.
+as they appear. Both engines enter it through ``_run``, which checks the
+image and feeds cache-sized bands of rows for the frame engine
+(:func:`denoise`) or one row per chunk for the stream engine
+(:mod:`mrdenoise.stream`); every chunking gives the same result. The
+kernel, :func:`classify` and :func:`median_filter` read one window
+layout: the 25 views of a 2-pixel-padded frame, 3x3 at ``_W3``. The
+kernel runs each edge-preserve filter only on the pixels of its class.
+In the first pass of the default schedule the candidate rescue is
+bypassed (heavy noise makes neighbor similarity meaningless), so
+candidates are smoothed unconditionally.
 """
 
 from __future__ import annotations
@@ -61,10 +63,14 @@ __all__ = [
     "median_filter",
     "write_class_stats_csv",
     "MIN_SIZE",
+    "MAX_ITERATIONS",
     "MODULE_NAMES",
 ]
 
 MIN_SIZE = 5
+
+# the largest pass count; both engines allocate per pass before any pixel runs
+MAX_ITERATIONS = 4096
 
 MODULE_NAMES = (
     "sorter",
@@ -115,6 +121,7 @@ class PipelineConfig:
     path entirely in the first pass and takes precedence when both are
     set. ``eq4_literal_weights`` switches the directional distance to the
     variant that applies the half weight inside the absolute value.
+    ``iterations`` runs from 1 to ``MAX_ITERATIONS``.
     """
 
     thresholds: Thresholds = field(default_factory=Thresholds)
@@ -124,8 +131,18 @@ class PipelineConfig:
     eq4_literal_weights: bool = False
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise ValueError(f"iterations must be 1 to {MAX_ITERATIONS}, got {self.iterations}")
+
+
+# positions of the 3x3 window in the row-major 5x5 window
+_W3 = (6, 7, 8, 11, 12, 13, 16, 17, 18)
+
+
+def _window_planes(padded: np.ndarray) -> list[np.ndarray]:
+    """The 25 shifted views of a 2-pixel-padded frame, in 5x5 window order."""
+    h, w = padded.shape[0] - 4, padded.shape[1] - 4
+    return [padded[dr : dr + h, dc : dc + w] for dr in range(5) for dc in range(5)]
 
 
 def classify_window(
@@ -194,7 +211,7 @@ def classify(
     if not (2 <= row < h - 2 and 2 <= col < w - 2):
         raise ValueError(f"5x5 window at ({row}, {col}) exceeds {h}x{w} image bounds")
     w5 = arr[row - 2 : row + 3, col - 2 : col + 3].ravel().tolist()
-    w3 = [w5[6], w5[7], w5[8], w5[11], w5[12], w5[13], w5[16], w5[17], w5[18]]
+    w3 = [w5[i] for i in _W3]
     return classify_window(
         w3,
         w5,
@@ -228,17 +245,6 @@ def restore_pixel(pixel_class: PixelClass, w3, w5, f, counters: dict | None = No
     return int(w3[4])
 
 
-def _window_planes(padded: np.ndarray, size: int) -> list[np.ndarray]:
-    """Shifted views of a 2-pixel-padded frame, one per window position."""
-    h, w = padded.shape[0] - 4, padded.shape[1] - 4
-    off = (5 - size) // 2
-    return [
-        padded[off + dr : off + dr + h, off + dc : off + dc + w]
-        for dr in range(size)
-        for dc in range(size)
-    ]
-
-
 def _first_min(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Per pixel, the value paired with the smallest key; the first minimum wins ties.
 
@@ -255,10 +261,9 @@ def _first_min(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
 
 
 # rows and columns, in the 5x5 window, of the taps each edge-preserve filter
-# reads: the 3x3 pairs of type1_edge_preserve in _PAIRS order (the 3x3
-# window sits one pixel in), and the four pixels of each direction line of
-# type2_edge_preserve in H, V, D, AD order
-_PAIR_TAPS = np.add(np.divmod(np.ravel(_PAIRS), 3), 1)
+# reads: the 3x3 pairs of type1_edge_preserve in _PAIRS order, and the four
+# pixels of each direction line of type2_edge_preserve in H, V, D, AD order
+_PAIR_TAPS = np.divmod(np.take(_W3, _PAIRS).ravel(), 5)
 _LINE_TAPS = np.divmod(np.ravel([near + far for near, far in zip(NEAR_PIXELS, FAR_PIXELS)]), 5)
 
 
@@ -294,7 +299,8 @@ def _iterate_block(
     and each filter selects its candidate as they do (first minimum in H,
     V, D, AD order), so frame and stream outputs agree bit for bit.
     """
-    p3 = _window_planes(padded, 3)
+    p5 = _window_planes(padded)
+    p3 = [p5[i] for i in _W3]
     center = p3[4]
     f = np.stack(p3)
     f.sort(axis=0)  # in place: one copy of the nine planes, not two
@@ -313,7 +319,6 @@ def _iterate_block(
     avg = (f[3] + f[4] + f[5] + 1) // 3
     del f  # free the sorted planes before the 5x5 stage
 
-    p5 = _window_planes(padded, 5)
     lines = [tuple(p5[i] for i in near + far) for near, far in zip(NEAR_PIXELS, FAR_PIXELS)]
     kc = (2 if weights_inside_abs else 1) * center
     d_half = (
@@ -347,15 +352,6 @@ def _iterate_block(
             # pixel (r, c) has the top-left corner of its 5x5 window at padded[r, c]
             out[r, c] = restore(flat[r * width + c + (tap_rows * width + tap_cols)[:, None]])
     return out, cls, int(np.count_nonzero(edge & noisy_edge))
-
-
-def _require_denoisable(img) -> np.ndarray:
-    arr = as_gray(img)
-    if arr.shape[0] < MIN_SIZE or arr.shape[1] < MIN_SIZE:
-        raise ValueError(
-            f"image must be at least {MIN_SIZE}x{MIN_SIZE}, got {arr.shape}"
-        )
-    return arr
 
 
 def _schedule(cfg: PipelineConfig) -> list[tuple[bool, bool]]:
@@ -450,21 +446,6 @@ def _drive(
             yield from np.split(rows, len(rows)) if end else [rows]
 
 
-def _run(
-    chunks: Iterable[np.ndarray], cfg: PipelineConfig
-) -> tuple[np.ndarray, list[dict[PixelClass, int]], list[dict[str, int]]]:
-    """Drive *chunks* through every pass of *cfg*.
-
-    Returns the output image, per-pass class counts and per-pass module
-    counts.
-    """
-    tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in range(cfg.iterations)]
-    out = np.concatenate(list(_drive(chunks, cfg, tallies)))
-    class_stats = [{c: int(t[c]) for c in PixelClass} for t in tallies]
-    module_stats = [_module_counts(t, *step) for t, step in zip(tallies, _schedule(cfg))]
-    return out, class_stats, module_stats
-
-
 # pixels per frame-engine band. An int32 plane of a band is then 128 KiB,
 # so a kernel call's working planes, about 2 MiB, stay in cache; 2**15 ran
 # fastest, or within noise of the fastest, of 2**13..2**16 on both 1024-
@@ -472,47 +453,54 @@ def _run(
 _BAND_PX = 2**15
 
 
+def _run(
+    img, cfg: PipelineConfig | None, rows: int = 0
+) -> tuple[np.ndarray, list[dict[PixelClass, int]], list[dict[str, int]]]:
+    """Check *img* and drive it through every pass of *cfg* in chunks of *rows* rows.
+
+    ``rows=0`` picks bands of ``_BAND_PX // width`` rows (at least one), so
+    each kernel call's planes stay in cache. Returns the output image,
+    per-pass class counts and per-pass module counts.
+    """
+    arr = as_gray(img)
+    if arr.shape[0] < MIN_SIZE or arr.shape[1] < MIN_SIZE:
+        raise ValueError(f"image must be at least {MIN_SIZE}x{MIN_SIZE}, got {arr.shape}")
+    cfg = cfg or PipelineConfig()
+    rows = rows or max(1, _BAND_PX // arr.shape[1])
+    chunks = (arr[r : r + rows] for r in range(0, arr.shape[0], rows))
+    tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in range(cfg.iterations)]
+    out = np.concatenate(list(_drive(chunks, cfg, tallies)))
+    class_stats = [{c: int(t[c]) for c in PixelClass} for t in tallies]
+    module_stats = [_module_counts(t, *step) for t, step in zip(tallies, _schedule(cfg))]
+    return out, class_stats, module_stats
+
+
 def denoise(img, cfg: PipelineConfig | None = None) -> np.ndarray:
     """Denoise *img* with the configured iteration schedule (default two passes)."""
-    return denoise_with_stats(img, cfg)[0]
+    return _run(img, cfg)[0]
 
 
 def denoise_with_stats(
     img, cfg: PipelineConfig | None = None
 ) -> tuple[np.ndarray, list[dict[PixelClass, int]]]:
-    """Like :func:`denoise` but also returns per-iteration class counts.
-
-    The pass driver gets the frame in bands of ``_BAND_PX // width`` rows
-    (at least one), so each kernel call's planes stay in cache. The module
-    counts that the stream engine reports are computed as well but not
-    returned.
-    """
-    arr = _require_denoisable(img)
-    band = max(1, _BAND_PX // arr.shape[1])
-    bands = (arr[r : r + band] for r in range(0, arr.shape[0], band))
-    out, class_stats, _ = _run(bands, cfg or PipelineConfig())
-    return out, class_stats
+    """Like :func:`denoise` but also returns per-iteration class counts."""
+    return _run(img, cfg)[:2]
 
 
 def median_filter(img, k: int) -> np.ndarray:
-    """Exact k x k median filter over a replication-padded frame.
+    """Exact k x k median filter, k = 3 or 5, over a replication-padded frame.
 
     The output pixel is the true order statistic of its neighborhood, not
     a float approximation.
     """
-    if k % 2 == 0 or k < 3:
-        raise ValueError(f"window size must be an odd integer >= 3, got {k}")
+    if k not in (3, 5):
+        raise ValueError(f"window size must be 3 or 5, got {k}")
     arr = as_gray(img)
-    h, w = arr.shape
-    if h < k or w < k:
+    if arr.shape[0] < k or arr.shape[1] < k:
         raise ValueError(f"image must be at least {k}x{k}, got {arr.shape}")
-    pad = k // 2
-    padded = np.pad(arr, pad, mode="edge")
-    stack = np.stack(
-        [padded[dr : dr + h, dc : dc + w] for dr in range(k) for dc in range(k)]
-    )
-    mid = (k * k) // 2
-    return np.partition(stack, mid, axis=0)[mid]
+    p5 = _window_planes(np.pad(arr, 2, mode="edge"))
+    stack = np.stack(p5 if k == 5 else [p5[i] for i in _W3])
+    return np.partition(stack, k * k // 2, axis=0)[k * k // 2]
 
 
 def write_class_stats_csv(

@@ -1,9 +1,10 @@
 """Row-streaming engine: the frame pipeline's pass driver fed one row at a time.
 
-:func:`mrdenoise.pipeline.denoise` hands the pass driver the frame in
-cache-sized bands of rows; this engine hands it one image row per chunk. Each pass
-then holds only the last four padded rows it has seen and reads at most
-two rows ahead of the row it emits, so working memory is
+Both engines enter the pass driver through ``pipeline._run``, which
+checks the image; :func:`mrdenoise.pipeline.denoise` asks it for
+cache-sized bands of rows and this engine for one image row per chunk.
+Each pass then holds only the last four padded rows it has seen and
+reads at most two rows ahead of the row it emits, so working memory is
 O(width x passes) rather than O(width x height). Outputs are
 bit-identical to the frame engine because both run the same kernel on
 the same windows under the same pass schedule.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pipeline import PipelineConfig, PixelClass, _require_denoisable, _run
+from .pipeline import PipelineConfig, PixelClass, _run
 
 __all__ = ["stream_denoise", "stream_denoise_with_stats"]
 
@@ -28,7 +29,7 @@ def stream_denoise_with_stats(
     img, cfg: PipelineConfig | None = None
 ) -> tuple[np.ndarray, list[dict[PixelClass, int]], list[dict[str, int]]]:
     """Streaming denoise returning per-iteration class and module counts."""
-    return _run(_require_denoisable(img)[:, None], cfg or PipelineConfig())
+    return _run(img, cfg, rows=1)
 
 
 def stream_denoise(img, cfg: PipelineConfig | None = None) -> np.ndarray:
@@ -37,4 +38,4 @@ def stream_denoise(img, cfg: PipelineConfig | None = None) -> np.ndarray:
     The result is bit-identical to :func:`mrdenoise.pipeline.denoise` with
     the same configuration.
     """
-    return stream_denoise_with_stats(img, cfg)[0]
+    return _run(img, cfg, rows=1)[0]

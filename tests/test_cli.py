@@ -20,6 +20,7 @@ from mrdenoise import (
     write_pgm,
 )
 from mrdenoise import cli
+from mrdenoise.pipeline import MAX_ITERATIONS
 
 
 def run_cli(*argv) -> int:
@@ -89,6 +90,13 @@ class TestInject:
         assert run_cli("inject", inp, noisy, tmp_path / "m.pgm", "--p", "0.1",
                        "--seed", "-5") == 2
         assert "seed must be nonnegative, got -5" in capsys.readouterr().err
+        assert not noisy.exists()
+
+    def test_missing_output_directory_writes_nothing(self, tmp_path, sample, capsys):
+        _, inp = sample
+        noisy = tmp_path / "n.pgm"
+        assert run_cli("inject", inp, noisy, tmp_path / "missing" / "m.pgm", "--p", "0.1") == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not noisy.exists()
 
     def test_missing_input_io_error(self, tmp_path):
@@ -192,6 +200,21 @@ class TestDenoise:
     def test_unknown_flag_usage_error(self, tmp_path, sample):
         _, inp = sample
         assert run_cli("denoise", inp, tmp_path / "o.pgm", "--bogus") == 2
+
+    @pytest.mark.parametrize("iterations", [MAX_ITERATIONS + 1, 10**20])
+    def test_iterations_above_cap_usage_error(self, tmp_path, sample, capsys, iterations):
+        _, inp = sample
+        out = tmp_path / "o.pgm"
+        assert run_cli("denoise", inp, out, "--iterations", iterations) == 2
+        assert "iterations" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_stats_directory_writes_nothing(self, tmp_path, sample, capsys):
+        _, inp = sample
+        out = tmp_path / "o.pgm"
+        assert run_cli("denoise", inp, out, "--stats", tmp_path / "missing" / "x.csv") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -304,6 +327,22 @@ class TestEval:
                        "--methods", "median3", "--seed", "-7") == 2
         assert "seed must be nonnegative, got -7" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_checked_before_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.pgm").write_bytes(b"P5\n4 4\n255\nxx")
+        assert run_cli("eval", corpus, "--out", tmp_path / "r.csv", "--seed", "-7") == 2
+        assert "seed must be nonnegative, got -7" in capsys.readouterr().err
+
+    def test_missing_out_directory_before_any_work(self, tmp_path, capsys, monkeypatch):
+        corpus = self.make_corpus(tmp_path, count=1)
+        reads = []
+        monkeypatch.setattr(cli, "read_pgm", lambda path: reads.append(path) or read_pgm(path))
+        assert run_cli("eval", corpus, "--out", tmp_path / "missing" / "r.csv",
+                       "--densities", "0.1", "--methods", "median3") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert reads == []
 
     def test_bad_density_usage_error(self, tmp_path):
         corpus = self.make_corpus(tmp_path, count=1)

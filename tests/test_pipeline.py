@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from mrdenoise import (
     write_class_stats_csv,
 )
 from mrdenoise import pipeline
-from mrdenoise.pipeline import _BAND_PX, _DIRECT_NOISY_EDGE, _drive, classify
+from mrdenoise.pipeline import MAX_ITERATIONS, _BAND_PX, _DIRECT_NOISY_EDGE, _drive, classify
 
 
 def padded(img):
@@ -46,8 +47,11 @@ class TestConfig:
         assert not cfg.eq4_literal_weights
 
     def test_invalid_iterations(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(iterations=0)
+        # the cap must leave room for the getrecursionlimit() + 100 deep-pass tests
+        assert MAX_ITERATIONS > sys.getrecursionlimit() + 100
+        for iterations in (0, MAX_ITERATIONS + 1, 10**20):
+            with pytest.raises(ValueError, match="iterations"):
+                PipelineConfig(iterations=iterations)
 
 
 class TestClassify:
@@ -394,10 +398,10 @@ class TestMedianFilter:
                         window = sorted(p[r : r + k, c : c + k].ravel().tolist())
                         assert got[r, c] == window[len(window) // 2]
 
-    @pytest.mark.parametrize("k", [2, 1, 0, -3, 4])
+    @pytest.mark.parametrize("k", [2, 1, 0, -3, 4, 7, 9])
     def test_invalid_k(self, k):
-        with pytest.raises(ValueError):
-            median_filter(np.zeros((8, 8), np.uint8), k)
+        with pytest.raises(ValueError, match="window size"):
+            median_filter(np.zeros((9, 9), np.uint8), k)
 
     def test_undersized_image(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from mrdenoise import (
     stream_denoise,
     stream_denoise_with_stats,
 )
+from mrdenoise import pipeline
 from mrdenoise.pipeline import _DIRECT_NOISY_EDGE, _drive
 
 BIG = 10**6
@@ -83,6 +84,18 @@ class TestStreamDenoise:
     def test_undersized_rejected(self):
         with pytest.raises(ValueError):
             stream_denoise(np.zeros((4, 9), np.uint8))
+
+    @pytest.mark.parametrize("engine", [stream_denoise, stream_denoise_with_stats])
+    def test_feeds_the_driver_one_row_per_chunk(self, monkeypatch, engine):
+        heights = []
+        drive = pipeline._drive
+
+        def recording(chunks, *rest):
+            return drive((heights.append(len(c)) or c for c in chunks), *rest)
+
+        monkeypatch.setattr(pipeline, "_drive", recording)
+        engine(random_image(56, 12, 9))
+        assert heights == [1] * 12
 
     def test_pass_count_beyond_recursion_limit(self):
         img = random_image(57, 5, 5)
