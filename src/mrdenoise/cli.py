@@ -10,55 +10,55 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from .detect import Thresholds, load_thresholds
 from .image import psnr
 from .noise import NoiseSpec, inject_fvin, inject_rvin, write_mask
 from .pgm import PgmFormatError, read_pgm, write_pgm
-from .pipeline import (
-    PipelineConfig,
-    denoise,
-    denoise_with_stats,
-    median_filter,
-    write_class_stats_csv,
-)
+from .pipeline import PipelineConfig, denoise, denoise_with_stats, median_filter
+from .pipeline import write_class_stats_csv
 from .stream import stream_denoise_with_stats
 
 DEFAULT_DENSITIES = (0.05, 0.10, 0.15, 0.20, 0.30, 0.40)
-METHODS = ("proposed", "median3", "median5")
+
+# eval methods: name -> restore(noisy, cfg)
+METHODS = {
+    "proposed": denoise,
+    "median3": lambda noisy, cfg: median_filter(noisy, 3),
+    "median5": lambda noisy, cfg: median_filter(noisy, 5),
+}
+
+# inject noise kinds: name -> (spec from the parsed flags, injector)
+NOISE_KINDS = {
+    "rvin": (lambda a: NoiseSpec.rvin(a.p, seed=a.seed), inject_rvin),
+    "fvin": (lambda a: NoiseSpec.fvin(a.p1, a.p2, m=a.m, seed=a.seed), inject_fvin),
+}
+
+# threshold flags: Thresholds field -> help text
+THRESHOLD_HELP = {
+    "t1": "sorted-gap edge threshold",
+    "t2": "directional-distance limit for clean edges",
+    "t3": "disorder margin around the window medians",
+    "t4": "intensity tolerance for similarity and extremum proximity",
+    "t5": "minimum similar neighbors to keep a pixel",
+}
 
 EVAL_HEADER = ("image", "kind", "density", "method", "psnr_db", "time_ms")
 
 
-def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = Thresholds()
-    for name, text in (
-        ("t1", "sorted-gap edge threshold"),
-        ("t2", "directional-distance limit for clean edges"),
-        ("t3", "disorder margin around the window medians"),
-        ("t4", "intensity tolerance for similarity and extremum proximity"),
-        ("t5", "minimum similar neighbors to keep a pixel"),
-    ):
-        parser.add_argument(
-            f"--{name}",
-            type=int,
-            default=None,
-            help=f"{text} (default {getattr(defaults, name)})",
-        )
+def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+    th = Thresholds()
+    for name, text in THRESHOLD_HELP.items():
+        parser.add_argument(f"--{name}", type=int, help=f"{text} (default {getattr(th, name)})")
     parser.add_argument(
         "--config",
         metavar="FILE",
         help="plain-text key=value threshold file (t1..t5); explicit --tN flags override",
     )
-
-
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    _add_threshold_flags(parser)
     parser.add_argument(
         "--iterations", type=int, default=2, help="number of passes (default %(default)s)"
     )
@@ -82,12 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_inject = sub.add_parser("inject", help="corrupt an image with impulse noise")
+    p_inject.set_defaults(handler=_cmd_inject)
     p_inject.add_argument("input", help="clean input PGM")
     p_inject.add_argument("output", help="noisy output PGM")
     p_inject.add_argument("mask", help="corruption mask output PGM ({0,255})")
-    p_inject.add_argument(
-        "--kind", choices=("rvin", "fvin"), default="rvin", help="noise model"
-    )
+    p_inject.add_argument("--kind", choices=NOISE_KINDS, default="rvin", help="noise model")
     p_inject.add_argument("--p", type=float, default=0.0, help="rvin corruption probability")
     p_inject.add_argument("--p1", type=float, default=0.0, help="fvin low-range probability")
     p_inject.add_argument("--p2", type=float, default=0.0, help="fvin high-range probability")
@@ -95,6 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inject.add_argument("--seed", type=int, default=0, help="RNG seed (PCG64)")
 
     p_denoise = sub.add_parser("denoise", help="remove impulse noise from an image")
+    p_denoise.set_defaults(handler=_cmd_denoise)
     p_denoise.add_argument("input", help="noisy input PGM (at least 5x5)")
     p_denoise.add_argument("output", help="denoised output PGM")
     _add_pipeline_flags(p_denoise)
@@ -113,6 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser(
         "eval", help="inject, denoise, and report PSNR over a corpus of clean PGMs"
     )
+    p_eval.set_defaults(handler=_cmd_eval)
     p_eval.add_argument("corpus", help="directory of clean PGM images")
     p_eval.add_argument("--out", required=True, metavar="CSV", help="report output path")
     p_eval.add_argument(
@@ -123,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--methods",
         default=",".join(METHODS),
-        help="comma-separated subset of proposed,median3,median5 (default %(default)s)",
+        help=f"comma-separated subset of {','.join(METHODS)} (default %(default)s)",
     )
     p_eval.add_argument("--seed", type=int, default=0, help="base RNG seed")
     _add_pipeline_flags(p_eval)
@@ -131,25 +132,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, parser) -> PipelineConfig:
-    try:
-        base = load_thresholds(args.config) if args.config else Thresholds()
-        overrides = {
-            name: value
-            for name in ("t1", "t2", "t3", "t4", "t5")
-            if (value := getattr(args, name)) is not None
-        }
-        thresholds = Thresholds(
-            **{name: overrides.get(name, getattr(base, name)) for name in ("t1", "t2", "t3", "t4", "t5")}
-        )
-        return PipelineConfig(
-            thresholds=thresholds,
-            iterations=args.iterations,
-            iteration1_skips_similarity_gate=not args.no_iter1_bypass,
-            eq4_literal_weights=args.eq4_literal,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+def _config_from_args(args) -> PipelineConfig:
+    base = load_thresholds(args.config) if args.config else Thresholds()
+    flags = {name: value for name in THRESHOLD_HELP if (value := getattr(args, name)) is not None}
+    return PipelineConfig(
+        thresholds=dataclasses.replace(base, **flags),
+        iterations=args.iterations,
+        iteration1_skips_similarity_gate=not args.no_iter1_bypass,
+        eq4_literal_weights=args.eq4_literal,
+    )
 
 
 def _require_output_dirs(*paths) -> None:
@@ -159,20 +150,11 @@ def _require_output_dirs(*paths) -> None:
             raise FileNotFoundError(f"output directory not found: {parent}")
 
 
-def _cmd_inject(args, parser) -> int:
-    try:
-        if args.kind == "rvin":
-            spec = NoiseSpec.rvin(args.p, seed=args.seed)
-        else:
-            spec = NoiseSpec.fvin(args.p1, args.p2, m=args.m, seed=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_inject(args) -> int:
+    make_spec, inject = NOISE_KINDS[args.kind]
+    spec = make_spec(args)
     _require_output_dirs(args.output, args.mask)
-    clean = read_pgm(args.input)
-    if spec.kind == "rvin":
-        noisy, mask = inject_rvin(clean, spec)
-    else:
-        noisy, mask = inject_fvin(clean, spec)
+    noisy, mask = inject(read_pgm(args.input), spec)
     write_pgm(args.output, noisy)
     write_mask(args.mask, mask)
     fraction = int(mask.sum()) / mask.size
@@ -180,8 +162,8 @@ def _cmd_inject(args, parser) -> int:
     return 0
 
 
-def _cmd_denoise(args, parser) -> int:
-    cfg = _config_from_args(args, parser)
+def _cmd_denoise(args) -> int:
+    cfg = _config_from_args(args)
     _require_output_dirs(args.output, args.stats)
     noisy = read_pgm(args.input)
     if args.engine == "stream":
@@ -195,50 +177,46 @@ def _cmd_denoise(args, parser) -> int:
     return 0
 
 
-def _parse_densities(text: str, parser) -> list[float]:
+def _comma_list(text: str, what: str) -> list[str]:
+    items = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not items:
+        raise ValueError(f"{what} list is empty")
+    return items
+
+
+def _parse_densities(text: str) -> list[float]:
+    tokens = _comma_list(text, "density")
     try:
-        densities = [float(tok) for tok in text.split(",") if tok.strip()]
+        densities = [float(tok) for tok in tokens]
     except ValueError:
-        parser.error(f"invalid density list: {text!r}")
-    if not densities:
-        parser.error("density list is empty")
+        raise ValueError(f"invalid density list: {text!r}") from None
     for d in densities:
         if not 0.0 <= d <= 1.0:
-            parser.error(f"density {d} outside [0, 1]")
+            raise ValueError(f"density {d} outside [0, 1]")
     return densities
 
 
-def _parse_methods(text: str, parser) -> list[str]:
-    methods = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not methods:
-        parser.error("method list is empty")
+def _parse_methods(text: str) -> list[str]:
+    methods = _comma_list(text, "method")
     for m in methods:
         if m not in METHODS:
-            parser.error(f"unknown method {m!r} (choose from {', '.join(METHODS)})")
+            raise ValueError(f"unknown method {m!r} (choose from {', '.join(METHODS)})")
     return methods
 
 
-def _run_method(name: str, noisy: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
-    if name == "proposed":
-        return denoise(noisy, cfg)
-    if name == "median3":
-        return median_filter(noisy, 3)
-    return median_filter(noisy, 5)
-
-
-def _cmd_eval(args, parser) -> int:
-    cfg = _config_from_args(args, parser)
-    densities = _parse_densities(args.densities, parser)
-    methods = _parse_methods(args.methods, parser)
+def _cmd_eval(args) -> int:
+    cfg = _config_from_args(args)
+    densities = _parse_densities(args.densities)
+    methods = _parse_methods(args.methods)
     if args.seed < 0:
-        parser.error(f"seed must be nonnegative, got {args.seed}")
+        raise ValueError(f"seed must be nonnegative, got {args.seed}")
     _require_output_dirs(args.out)
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise OSError(f"corpus directory not found: {corpus}")
     paths = sorted(corpus.glob("*.pgm"))
     if not paths:
-        parser.error(f"no .pgm images found in {corpus}")
+        raise ValueError(f"no .pgm images found in {corpus}")
 
     rows = []
     sums: dict[tuple[float, str], float] = {}
@@ -249,12 +227,11 @@ def _cmd_eval(args, parser) -> int:
             noisy, _ = inject_rvin(clean, spec)
             for method in methods:
                 start = time.perf_counter()
-                restored = _run_method(method, noisy, cfg)
+                restored = METHODS[method](noisy, cfg)
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
                 quality = psnr(clean, restored)
-                rows.append(
-                    (path.stem, "rvin", f"{density:g}", method, f"{quality:.6f}", f"{elapsed_ms:.3f}")
-                )
+                row = (path.stem, "rvin", f"{density:g}", method, f"{quality:.6f}", f"{elapsed_ms:.3f}")
+                rows.append(row)
                 sums[(density, method)] = sums.get((density, method), 0.0) + quality
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -262,24 +239,17 @@ def _cmd_eval(args, parser) -> int:
         writer.writerow(EVAL_HEADER)
         writer.writerows(rows)
 
-    n = len(paths)
-    header = "density  " + "".join(f"{m:>12}" for m in methods)
-    print(header)
+    print("density  " + "".join(f"{m:>12}" for m in methods))
     for density in densities:
-        cells = "".join(f"{sums[(density, m)] / n:12.2f}" for m in methods)
+        cells = "".join(f"{sums[(density, m)] / len(paths):12.2f}" for m in methods)
         print(f"{100 * density:6.1f}%  {cells}")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "inject":
-            return _cmd_inject(args, parser)
-        if args.command == "denoise":
-            return _cmd_denoise(args, parser)
-        return _cmd_eval(args, parser)
+        return args.handler(args)
     except (PgmFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

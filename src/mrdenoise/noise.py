@@ -14,6 +14,7 @@ fixed draw order makes corrupted corpora reproducible bit-for-bit from
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 
@@ -53,8 +54,13 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if self.p1 < 0.0 or self.p2 < 0.0 or self.p1 + self.p2 > 1.0:
+        # written so that a NaN probability fails the test
+        if not (self.p1 >= 0.0 and self.p2 >= 0.0 and self.p1 + self.p2 <= 1.0):
             raise ValueError("p1 and p2 must be nonnegative with p1 + p2 <= 1")
+        try:
+            operator.index(self.m)
+        except TypeError:
+            raise ValueError(f"margin m must be an integer, got {self.m!r}") from None
         if not 0 <= self.m <= 127:
             raise ValueError(f"margin m must lie in [0, 127], got {self.m}")
         if self.seed < 0:

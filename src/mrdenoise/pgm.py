@@ -59,13 +59,12 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
         # exactly one whitespace byte separates the header from the raster
         if pos >= len(data) or data[pos] not in _WHITESPACE:
             raise PgmFormatError("missing whitespace after maxval")
-        raster = data[pos + 1 :]
-        if len(raster) != count:
-            raise PgmFormatError(
-                f"expected {count} raster bytes, found {len(raster)}"
-            )
-        img = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-        return img.copy()
+        found = len(data) - pos - 1
+        if found != count:
+            raise PgmFormatError(f"expected {count} raster bytes, found {found}")
+        # view the raster inside the file bytes, then copy it out once
+        img = np.frombuffer(data, np.uint8, count, offset=pos + 1)
+        return img.reshape(height, width).copy()
 
     # every ASCII value takes at least one digit and one separator, so a
     # header claiming more pixels than the file can hold is rejected
@@ -100,7 +99,9 @@ def write_pgm(path: str | os.PathLike, img, *, ascii_format: bool = False) -> No
         lines = [b"P2", f"{w} {h}".encode(), b"255"]
         for row in arr:
             lines.append(" ".join(str(int(v)) for v in row).encode())
-        payload = b"\n".join(lines) + b"\n"
+        Path(path).write_bytes(b"\n".join(lines) + b"\n")
     else:
-        payload = f"P5\n{w} {h}\n255\n".encode() + arr.tobytes()
-    Path(path).write_bytes(payload)
+        # the raster goes out from the array's own buffer, uncopied
+        with open(path, "wb") as fh:
+            fh.write(f"P5\n{w} {h}\n255\n".encode())
+            fh.write(np.ascontiguousarray(arr).data)

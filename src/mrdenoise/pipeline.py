@@ -139,10 +139,11 @@ class PipelineConfig:
 _W3 = (6, 7, 8, 11, 12, 13, 16, 17, 18)
 
 
-def _window_planes(padded: np.ndarray) -> list[np.ndarray]:
-    """The 25 shifted views of a 2-pixel-padded frame, in 5x5 window order."""
+def _window_planes(padded: np.ndarray, taps: Iterable[int]) -> list[np.ndarray]:
+    """The shifted views of a 2-pixel-padded frame at the given positions
+    of the row-major 5x5 window."""
     h, w = padded.shape[0] - 4, padded.shape[1] - 4
-    return [padded[dr : dr + h, dc : dc + w] for dr in range(5) for dc in range(5)]
+    return [padded[t // 5 : t // 5 + h, t % 5 : t % 5 + w] for t in taps]
 
 
 def classify_window(
@@ -299,8 +300,7 @@ def _iterate_block(
     and each filter selects its candidate as they do (first minimum in H,
     V, D, AD order), so frame and stream outputs agree bit for bit.
     """
-    p5 = _window_planes(padded)
-    p3 = [p5[i] for i in _W3]
+    p3 = _window_planes(padded, _W3)
     center = p3[4]
     f = np.stack(p3)
     f.sort(axis=0)  # in place: one copy of the nine planes, not two
@@ -319,7 +319,7 @@ def _iterate_block(
     avg = (f[3] + f[4] + f[5] + 1) // 3
     del f  # free the sorted planes before the 5x5 stage
 
-    lines = [tuple(p5[i] for i in near + far) for near, far in zip(NEAR_PIXELS, FAR_PIXELS)]
+    lines = [_window_planes(padded, near + far) for near, far in zip(NEAR_PIXELS, FAR_PIXELS)]
     kc = (2 if weights_inside_abs else 1) * center
     d_half = (
         2 * (np.abs(center - n1) + np.abs(center - n2)) + np.abs(kc - f1) + np.abs(kc - f2)
@@ -498,9 +498,10 @@ def median_filter(img, k: int) -> np.ndarray:
     arr = as_gray(img)
     if arr.shape[0] < k or arr.shape[1] < k:
         raise ValueError(f"image must be at least {k}x{k}, got {arr.shape}")
-    p5 = _window_planes(np.pad(arr, 2, mode="edge"))
-    stack = np.stack(p5 if k == 5 else [p5[i] for i in _W3])
-    return np.partition(stack, k * k // 2, axis=0)[k * k // 2]
+    stack = np.stack(_window_planes(np.pad(arr, 2, mode="edge"), range(25) if k == 5 else _W3))
+    stack.partition(k * k // 2, axis=0)
+    # a copy, so the result does not keep the k*k-plane stack alive
+    return stack[k * k // 2].copy()
 
 
 def write_class_stats_csv(

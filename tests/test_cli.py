@@ -352,6 +352,45 @@ class TestEval:
                        "--methods", "magic") == 2
 
 
+class TestUsageErrors:
+    """Usage errors found in code print one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("inject", "{in}", "{o}", "{m}", "--p", "1.5"), "p must lie in [0, 1], got 1.5"),
+            (("inject", "{in}", "{o}", "{m}", "--kind", "fvin", "--p1", "nan", "--p2", "0.1"),
+             "p1 and p2 must be nonnegative with p1 + p2 <= 1"),
+            (("denoise", "{in}", "{o}", "--iterations", "0"), "iterations must be 1 to"),
+            (("denoise", "{in}", "{o}", "--t5", "9"), "t5 counts 3x3 neighbors and cannot exceed 8"),
+            (("eval", "{c}", "--out", "{o}", "--densities", "1.5"), "density 1.5 outside [0, 1]"),
+            (("eval", "{c}", "--out", "{o}", "--densities", ",,"), "density list is empty"),
+            (("eval", "{c}", "--out", "{o}", "--densities", "0.1,x"), "invalid density list: '0.1,x'"),
+            (("eval", "{c}", "--out", "{o}", "--methods", "magic"),
+             "unknown method 'magic' (choose from proposed, median3, median5)"),
+            (("eval", "{c}", "--out", "{o}", "--methods", " , "), "method list is empty"),
+            (("eval", "{e}", "--out", "{o}"), "no .pgm images found in {e}"),
+        ],
+    )
+    def test_one_error_line_without_usage(self, tmp_path, sample, capsys, args, message):
+        _, inp = sample
+        corpus, empty = tmp_path / "corpus", tmp_path / "empty"
+        corpus.mkdir()
+        empty.mkdir()
+        write_pgm(corpus / "a.pgm", random_image(71, 16, 16))
+        paths = {"in": inp, "o": tmp_path / "o.pgm", "m": tmp_path / "m.pgm", "c": corpus, "e": empty}
+        assert run_cli(*(a.format_map(paths) for a in args)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format_map(paths)}")
+        assert err.count("\n") == 1 and "usage:" not in err
+        assert not paths["o"].exists() and not paths["m"].exists()
+
+    def test_argparse_errors_keep_usage(self, tmp_path, sample, capsys):
+        _, inp = sample
+        assert run_cli("inject", inp, tmp_path / "o.pgm", tmp_path / "m.pgm", "--kind", "speckle") == 2
+        assert capsys.readouterr().err.startswith("usage: mrdenoise inject")
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         img = random_image(90, 12, 12)

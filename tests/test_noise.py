@@ -25,11 +25,19 @@ class TestNoiseSpec:
             dict(kind="fvin", m=128),
             dict(kind="fvin", m=-1),
             dict(kind="rvin", p=0.1, seed=-5),
+            dict(kind="rvin", p=float("nan")),
+            dict(kind="fvin", p1=float("nan"), p2=0.1),
+            dict(kind="fvin", p1=0.1, p2=float("nan")),
+            dict(kind="fvin", p1=0.1, p2=0.1, m=2.5),
+            dict(kind="fvin", p1=0.1, p2=0.1, m="5"),
         ],
     )
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
             NoiseSpec(**kwargs)
+
+    def test_numpy_integer_margin_accepted(self):
+        assert NoiseSpec.fvin(0.1, 0.1, m=np.int64(5)).m == 5
 
     def test_kind_mismatch_rejected(self):
         img = random_image(0, 5, 5)

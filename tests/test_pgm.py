@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_image
@@ -101,6 +103,40 @@ class TestRoundtrip:
         path = tmp_path / "h.pgm"
         write_pgm(path, img)
         assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 10, 20, 255])
+
+
+    def test_non_contiguous_binary_roundtrip(self, tmp_path):
+        img = random_image(4, 12, 10)
+        path = tmp_path / "t.pgm"
+        write_pgm(path, img[::-1, ::2].T)
+        assert np.array_equal(read_pgm(path), img[::-1, ::2].T)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBinaryMemory:
+    """P5 I/O moves the raster without staging copies."""
+
+    def test_write_stages_no_copy(self, tmp_path):
+        img = random_image(5, 512, 512)
+        path = tmp_path / "w.pgm"
+        peak = traced_peak(lambda: write_pgm(path, img))
+        assert peak <= 0.5 * img.nbytes, f"peak {peak / img.nbytes:.2f} images"
+
+    def test_read_copies_raster_once(self, tmp_path):
+        img = random_image(6, 512, 512)
+        path = tmp_path / "r.pgm"
+        write_pgm(path, img)
+        # the file bytes and the returned image, nothing in between
+        peak = traced_peak(lambda: read_pgm(path))
+        assert peak <= 2.5 * img.nbytes, f"peak {peak / img.nbytes:.2f} images"
 
 
 class TestReader:

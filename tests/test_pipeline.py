@@ -351,6 +351,25 @@ class TestMemory:
         assert peak <= 4 * noisy.nbytes, f"peak {peak / noisy.nbytes:.2f} images"
 
 
+    def test_median_result_owns_its_pixels(self):
+        img = synthetic_mr_slice(3, size=64)
+        for k in (3, 5):
+            assert median_filter(img, k).base is None
+
+    def test_median5_partitions_its_stack_in_place(self):
+        # the 25 window planes are partitioned where they lie: about 26
+        # images at the peak, where a partitioned copy of the stack needs 51
+        noisy, _ = inject_rvin(synthetic_mr_slice(3), NoiseSpec.rvin(0.40, seed=7))
+        median_filter(noisy, 5)  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            median_filter(noisy, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * noisy.nbytes, f"peak {peak / noisy.nbytes:.1f} images"
+
+
 class TestStats:
     def test_counts_are_exhaustive(self):
         img = random_image(39, 30, 20)

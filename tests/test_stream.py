@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +103,24 @@ class TestStreamDenoise:
         img = random_image(57, 5, 5)
         cfg = PipelineConfig(iterations=sys.getrecursionlimit() + 100)
         assert np.array_equal(stream_denoise(img, cfg), denoise(img, cfg))
+
+
+    def test_row_engine_peak(self):
+        # a two-pass 128x128 run holds a few padded rows per pass: about 5
+        # images at the peak. Building the kernel's window lines with
+        # tuple(generator) raises it to 9 images, because those 4-tuples,
+        # once freed, pile up on the interpreter's free list until a full
+        # collection.
+        noisy, _ = inject_rvin(synthetic_mr_slice(3, size=128), NoiseSpec.rvin(0.20, seed=7))
+        stream_denoise_with_stats(noisy)  # warm up lazy imports and caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            stream_denoise_with_stats(noisy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * noisy.nbytes, f"peak {peak / noisy.nbytes:.2f} images"
 
 
 class TestStreamStats:
