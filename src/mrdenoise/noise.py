@@ -57,10 +57,11 @@ class NoiseSpec:
         # written so that a NaN probability fails the test
         if not (self.p1 >= 0.0 and self.p2 >= 0.0 and self.p1 + self.p2 <= 1.0):
             raise ValueError("p1 and p2 must be nonnegative with p1 + p2 <= 1")
-        try:
-            operator.index(self.m)
-        except TypeError:
-            raise ValueError(f"margin m must be an integer, got {self.m!r}") from None
+        for label, value in (("margin m", self.m), ("seed", self.seed)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{label} must be an integer, got {value!r}") from None
         if not 0 <= self.m <= 127:
             raise ValueError(f"margin m must lie in [0, 127], got {self.m}")
         if self.seed < 0:

@@ -22,10 +22,14 @@ image and feeds cache-sized bands of rows for the frame engine
 (:mod:`mrdenoise.stream`); every chunking gives the same result. The
 kernel, :func:`classify` and :func:`median_filter` read one window
 layout: the 25 views of a 2-pixel-padded frame, 3x3 at ``_W3``. The
-kernel runs each edge-preserve filter only on the pixels of its class.
-In the first pass of the default schedule the candidate rescue is
-bypassed (heavy noise makes neighbor similarity meaningless), so
-candidates are smoothed unconditionally.
+driver pads its blocks as int16, wide enough for every value the kernel
+computes. The kernel ranks each 3x3 window with the paper's sorter, here
+a compare-exchange network of ``np.minimum``/``np.maximum`` over whole
+planes pruned to the five ranks the classifiers and filters read, and
+runs each edge-preserve filter only on the pixels of its class. In the
+first pass of the default schedule the candidate rescue is bypassed
+(heavy noise makes neighbor similarity meaningless), so candidates are
+smoothed unconditionally.
 """
 
 from __future__ import annotations
@@ -271,15 +275,59 @@ _LINE_TAPS = np.divmod(np.ravel([near + far for near, far in zip(NEAR_PIXELS, FA
 def _pair_restore(taps: np.ndarray) -> np.ndarray:
     """:func:`type1_edge_preserve` over columns of eight taps, two per pair."""
     a, b = taps[0::2], taps[1::2]
-    return _first_min(zip(np.abs(a - b), (a + b + 1) // 2))
+    return _first_min(zip(np.abs(a - b), (a + b + 1) // 2))  # a + b + 1 <= 511
 
 
 def _line_restore(taps: np.ndarray) -> np.ndarray:
     """:func:`type2_edge_preserve` over columns of sixteen taps, four per line."""
     lines = taps.reshape(4, 4, -1)
-    s = lines.sum(axis=1, dtype=np.int32)
-    spread = np.abs(4 * lines - s[:, None]).sum(axis=1, dtype=np.int32)
+    s = lines.sum(axis=1, dtype=np.int16)  # at most 4 * 255 = 1020
+    # at most 2040, at two pixels of 255 and two of 0: the spread is convex in
+    # the pixels, so its maximum lies where each is 0 or 255
+    spread = np.abs(4 * lines - s[:, None]).sum(axis=1, dtype=np.int16)
     return _first_min(zip(spread, (s - lines.min(axis=1) - lines.max(axis=1) + 1) // 2))
+
+
+# Floyd's optimal 25-comparator sorting network on nine inputs (Knuth, TAOCP
+# vol. 3, §5.3.4), pruned to the ranks the classifiers and filters read: F0,
+# F3, F4, F5 and F8. A comparator (i, j) leaves the smaller value on wire i
+# and the larger on wire j; "min" or "max" marks one whose other output no
+# later comparator reads. The first layer is _SORTER_LAYER1, which does not
+# touch wire 6; _SORTER holds the other six layers, one per line.
+_SORTER_LAYER1 = ((0, 3), (1, 7), (2, 5), (4, 8))
+_SORTER = (
+    (0, 7, ""), (2, 4, ""), (3, 8, ""), (5, 6, ""),
+    (0, 2, ""), (1, 3, ""), (4, 5, ""), (7, 8, ""),
+    (1, 4, ""), (3, 6, ""), (5, 7, ""),
+    (0, 1, "min"), (2, 4, ""), (3, 5, ""), (6, 8, ""),
+    (2, 3, "max"), (4, 5, ""), (6, 7, "min"),
+    (3, 4, ""), (5, 6, "min"),
+)
+_SORTER_RANKS = (0, 3, 4, 5, 8)
+
+
+def _sorter(p3: list[np.ndarray]) -> list[np.ndarray]:
+    """Ranks F0, F3, F4, F5 and F8 of the nine 3x3 window planes *p3*.
+
+    The first layer writes into fresh planes and wire 6 gets a copy, so the
+    window views are never written; every later comparator works in place,
+    with one spare plane taking its smaller value.
+    """
+    f = [None] * 9
+    for i, j in _SORTER_LAYER1:
+        f[i], f[j] = np.minimum(p3[i], p3[j]), np.maximum(p3[i], p3[j])
+    f[6] = p3[6].copy()
+    spare = np.empty_like(f[6])
+    for i, j, half in _SORTER:
+        if half == "min":
+            np.minimum(f[i], f[j], out=f[i])
+        elif half == "max":
+            np.maximum(f[i], f[j], out=f[j])
+        else:
+            np.minimum(f[i], f[j], out=spare)
+            np.maximum(f[i], f[j], out=f[j])
+            f[i], spare = spare, f[i]
+    return [f[i] for i in _SORTER_RANKS]
 
 
 def _iterate_block(
@@ -289,38 +337,42 @@ def _iterate_block(
     skip_npc: bool,
     weights_inside_abs: bool,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized classify + restore over one padded block.
+    """Vectorized classify + restore over one padded int16 block.
 
     Returns the restored block, its class plane, and the number of edge
     pixels the directional test alone marks noisy (those skip the
-    similarity check). The classifiers run on whole planes; each
-    edge-preserve filter gathers the taps it reads for the pixels of its
-    class only, computes on those columns and scatters the results. All
-    arithmetic is exact integer work mirroring the scalar stage functions,
-    and each filter selects its candidate as they do (first minimum in H,
-    V, D, AD order), so frame and stream outputs agree bit for bit.
+    similarity check). The nine 3x3 window planes go through the sorter
+    network, which yields only the five ranks the classifiers and filters
+    read. The classifiers run on whole planes; each edge-preserve filter
+    gathers the taps it reads for the pixels of its class only, computes
+    on those columns and scatters the results. All arithmetic is exact
+    integer work mirroring the scalar stage functions, and no value leaves
+    int16 (each bound is written beside its code). Each filter selects its
+    candidate as the scalar functions do (first minimum in H, V, D, AD
+    order), so frame and stream outputs agree bit for bit.
     """
     p3 = _window_planes(padded, _W3)
     center = p3[4]
-    f = np.stack(p3)
-    f.sort(axis=0)  # in place: one copy of the nine planes, not two
+    f0, f3, f4, f5, f8 = _sorter(p3)
 
-    edge = (f[4] - f[3] > th.t1) | (f[5] - f[4] > th.t1)
-    sim_count = np.zeros(center.shape, np.int32)
+    # sorted gaps, f8 - center and center - f0 are non-negative by construction
+    edge = (f4 - f3 > th.t1) | (f5 - f4 > th.t1)
+    sim_count = np.zeros(center.shape, np.uint8)  # at most 8
     for i in (0, 1, 2, 3, 5, 6, 7, 8):
         sim_count += np.abs(p3[i] - center) <= th.t4
     similar = sim_count >= th.t5
     disordered = (
-        (np.abs(f[5] - center) > th.t3)
-        & (np.abs(center - f[3]) > th.t3)
-        & (np.abs(center - f[4]) > th.t3)
+        (np.abs(f5 - center) > th.t3)
+        & (np.abs(center - f3) > th.t3)
+        & (np.abs(center - f4) > th.t3)
     )
-    candidate = (f[8] - center < th.t4) | (center - f[0] < th.t4)
-    avg = (f[3] + f[4] + f[5] + 1) // 3
-    del f  # free the sorted planes before the 5x5 stage
+    candidate = (f8 - center < th.t4) | (center - f0 < th.t4)
+    avg = (f3 + f4 + f5 + 1) // 3  # the sum is at most 3 * 255 + 1 = 766
+    del f0, f3, f4, f5, f8  # free the sorted planes before the 5x5 stage
 
     lines = [_window_planes(padded, near + far) for near, far in zip(NEAR_PIXELS, FAR_PIXELS)]
     kc = (2 if weights_inside_abs else 1) * center
+    # at most 2 * (255 + 255) + 510 + 510 = 2040, with kc = 2 * center
     d_half = (
         2 * (np.abs(center - n1) + np.abs(center - n2)) + np.abs(kc - f1) + np.abs(kc - f2)
         for n1, n2, f1, f2 in lines
@@ -404,7 +456,7 @@ def _drive(
 ) -> Iterator[np.ndarray]:
     """Run every pass of *cfg* over uint8 row chunks, yielding restored rows.
 
-    Each pass carries the last four padded int32 rows it has seen. An
+    Each pass carries the last four padded int16 rows it has seen. An
     incoming chunk is column-padded and joined below the carry (the first
     chunk instead gets its top row twice above it), the joined block is
     restored by one kernel call, and the restored rows go on to the next
@@ -431,7 +483,7 @@ def _drive(
             else:
                 padded = rows[:, cols]
                 top = padded[[0, 0]] if carry is None else carry
-                block = np.concatenate([top, padded], dtype=np.int32)
+                block = np.concatenate([top, padded], dtype=np.int16)
             if end:
                 block = np.concatenate([block, block[[-1, -1]]])
             carries[k] = block[-4:].copy()  # a view would keep the whole block alive
@@ -446,10 +498,11 @@ def _drive(
             yield from np.split(rows, len(rows)) if end else [rows]
 
 
-# pixels per frame-engine band. An int32 plane of a band is then 128 KiB,
-# so a kernel call's working planes, about 2 MiB, stay in cache; 2**15 ran
-# fastest, or within noise of the fastest, of 2**13..2**16 on both 1024-
-# and 256-wide frames.
+# pixels per frame-engine band. An int16 plane of a band is then 64 KiB,
+# so a kernel call's working planes, about 0.75 MiB at their traced peak,
+# stay in cache. With int32 planes 2**15 ran fastest, or within noise of the
+# fastest, of 2**13..2**16 on both 1024- and 256-wide frames; with int16
+# planes 2**14..2**17 ran within noise of each other.
 _BAND_PX = 2**15
 
 

@@ -2,11 +2,14 @@
 
 Each cell runs ``mrdenoise denoise`` in-process on a noisy phantom and
 compares the three file hashes with ``tests/golden_grid.json``. The 256²
-cells cover both noise kinds at three densities, every flag set, one to
-three passes and both engines; the 1024² cells (frame engine, two passes)
-cross row-band boundaries. The inputs come from the benchmark's frozen
-phantom and noise generators, so the grid does not depend on the package's
-own injectors.
+cells cover both noise kinds at three densities, each schedule flag set,
+one to three passes and both engines; the 1024² cells (frame engine, two
+passes) cross row-band boundaries. At the default thresholds an edge pixel is never
+``KeepEdge`` and ``--eq4-literal`` leaves the output unchanged, so the
+lower-threshold cells (``--t1 5``, ``--t1 10 --t4 20``, with and without
+``--eq4-literal``) reach ``KeepEdge`` and pin the directional distance. The
+inputs come from the benchmark's frozen phantom and noise generators, so
+the grid does not depend on the package's own injectors.
 
 Regenerate the JSON only when an output change is intended::
 
@@ -27,14 +30,26 @@ from mrdenoise import cli
 
 GOLDEN = Path(__file__).with_name("golden_grid.json")
 KINDS = ("rvin", "fvin")
-FLAGS = {"default": (), "eq4-literal": ("--eq4-literal",), "no-iter1-bypass": ("--no-iter1-bypass",)}
+FLAGS = {
+    "default": (),
+    "eq4-literal": ("--eq4-literal",),
+    "no-iter1-bypass": ("--no-iter1-bypass",),
+    "t1-5": ("--t1", "5"),
+    "t1-5-eq4-literal": ("--t1", "5", "--eq4-literal"),
+    "t1-10-t4-20": ("--t1", "10", "--t4", "20"),
+    "t1-10-t4-20-eq4-literal": ("--t1", "10", "--t4", "20", "--eq4-literal"),
+}
+SCHEDULE_FLAGS = ("default", "eq4-literal", "no-iter1-bypass")
+KEEP_EDGE_FLAGS = ("t1-5", "t1-5-eq4-literal", "t1-10-t4-20", "t1-10-t4-20-eq4-literal")
 PHANTOM_SEED = 1
 NOISE_SEED = 11
 FVIN_MARGIN = 5
 
 CELLS = [
-    *itertools.product((256,), KINDS, (0.05, 0.2, 0.4), FLAGS, (1, 2, 3), ("frame", "stream")),
-    *itertools.product((1024,), KINDS, (0.2,), FLAGS, (2,), ("frame",)),
+    *itertools.product((256,), KINDS, (0.05, 0.2, 0.4), SCHEDULE_FLAGS, (1, 2, 3), ("frame", "stream")),
+    *itertools.product((1024,), KINDS, (0.2,), SCHEDULE_FLAGS, (2,), ("frame",)),
+    *itertools.product((256,), KINDS, (0.2,), KEEP_EDGE_FLAGS, (2,), ("frame", "stream")),
+    *itertools.product((1024,), ("rvin",), (0.2,), KEEP_EDGE_FLAGS, (2,), ("frame",)),
 ]
 
 

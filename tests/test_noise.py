@@ -30,6 +30,8 @@ class TestNoiseSpec:
             dict(kind="fvin", p1=0.1, p2=float("nan")),
             dict(kind="fvin", p1=0.1, p2=0.1, m=2.5),
             dict(kind="fvin", p1=0.1, p2=0.1, m="5"),
+            dict(kind="rvin", p=0.1, seed=2.5),
+            dict(kind="rvin", p=0.1, seed="3"),
         ],
     )
     def test_invalid_specs(self, kwargs):
@@ -38,6 +40,11 @@ class TestNoiseSpec:
 
     def test_numpy_integer_margin_accepted(self):
         assert NoiseSpec.fvin(0.1, 0.1, m=np.int64(5)).m == 5
+
+    def test_numpy_integer_seed_accepted(self):
+        img = random_image(3, 12, 12)
+        spec = NoiseSpec.rvin(0.3, seed=np.int64(7))
+        assert np.array_equal(inject_rvin(img, spec)[0], inject_rvin(img, NoiseSpec.rvin(0.3, seed=7))[0])
 
     def test_kind_mismatch_rejected(self):
         img = random_image(0, 5, 5)

@@ -19,7 +19,16 @@ from mrdenoise import (
     write_class_stats_csv,
 )
 from mrdenoise import pipeline
-from mrdenoise.pipeline import MAX_ITERATIONS, _BAND_PX, _DIRECT_NOISY_EDGE, _drive, classify
+from mrdenoise.detect import FAR_PIXELS, NEAR_PIXELS, directional_distances
+from mrdenoise.pipeline import (
+    _BAND_PX,
+    _DIRECT_NOISY_EDGE,
+    _SORTER_RANKS,
+    MAX_ITERATIONS,
+    _drive,
+    _sorter,
+    classify,
+)
 
 
 def padded(img):
@@ -128,6 +137,45 @@ class TestRestorePixel:
         assert restore_pixel(PixelClass.DISORDERED, w3, [0] * 25, sorted(w3)) == 10
 
 
+class TestSorter:
+    """The pruned network returns the ranks the kernel reads: F0, F3, F4, F5, F8."""
+
+    @staticmethod
+    def check(planes):
+        before = planes.copy()
+        ranks = _sorter(list(planes))
+        expected = [sorted(col) for col in planes.reshape(9, -1).T.tolist()]
+        for rank, plane in zip(_SORTER_RANKS, ranks):
+            assert plane.ravel().tolist() == [col[rank] for col in expected], rank
+        assert np.array_equal(planes, before)  # the window views are never written
+
+    def test_all_zero_one_inputs(self):
+        # the 0-1 principle: a comparator network that gets every 0-1 input
+        # right gets every input right
+        bits = (np.arange(512) >> np.arange(9)[:, None]) & 1
+        self.check(bits.astype(np.int16))
+
+    def test_tie_heavy_planes(self):
+        g = make_rng(4500)
+        for _ in range(20):
+            alphabet = g.integers(0, 256, int(g.integers(1, 5)))
+            self.check(alphabet[g.integers(0, len(alphabet), (9, 13, 17))].astype(np.int16))
+
+
+def line_extremes(img, eq4_literal: bool) -> tuple[int, int]:
+    """The largest directional distance and line spread over the 5x5 windows of *img*."""
+    padded = np.pad(img, 2, mode="edge").tolist()
+    d_max = spread_max = 0
+    for r in range(img.shape[0]):
+        for c in range(img.shape[1]):
+            w5 = [v for row in padded[r : r + 5] for v in row[c : c + 5]]
+            d_max = max(d_max, *directional_distances(w5, weights_inside_abs=eq4_literal))
+            for near, far in zip(NEAR_PIXELS, FAR_PIXELS):
+                line = [w5[i] for i in near + far]
+                spread_max = max(spread_max, sum(abs(4 * v - sum(line)) for v in line))
+    return d_max, spread_max
+
+
 class TestDenoiseIteration:
     def test_uniform_identity(self):
         img = np.full((12, 9), 123, np.uint8)
@@ -207,6 +255,31 @@ class TestDenoise:
                             seen[cls] += n
         assert seen[PixelClass.NOISY_EDGE] > 0
         assert seen[PixelClass.DISORDERED] > 0
+
+    @pytest.mark.parametrize("eq4_literal", [False, True])
+    @pytest.mark.parametrize("t2", [0, 509, 764, 1020, 2040])
+    def test_black_white_images_match_scalar_oracle(self, t2, eq4_literal):
+        # images of only 0 and 255 drive the int16 directional distance and
+        # line spread to their written bounds (2040 each; 1530 for the
+        # distance without eq4-literal). The noisy-edge test compares the
+        # distance with 2 * t2 on edge pixels only, where it is at most 1020
+        # (1530 with eq4-literal): t2 = 509 and 764 sit just below those.
+        # t5 = 3 makes such edges similar, so that test decides their class.
+        g = make_rng(4600)
+        for density in (0.3, 0.5, 0.7):
+            img = np.where(g.random((23, 29)) < density, 255, 0).astype(np.uint8)
+            img[:5, :5] = 0
+            img[2, 2] = 255  # a lone 255 center: every direction at its maximum
+            assert line_extremes(img, eq4_literal) == (2040 if eq4_literal else 1530, 2040)
+            for skip_gate in (False, True):
+                cfg = PipelineConfig(
+                    thresholds=Thresholds(t2=t2, t5=3),
+                    iterations=1,
+                    iteration1_skips_similarity_gate=skip_gate,
+                    eq4_literal_weights=eq4_literal,
+                )
+                expected = scalar_pass(img, cfg, gate_active=not skip_gate)
+                assert np.array_equal(denoise(img, cfg), expected), (density, skip_gate)
 
     def test_noisy_uniform_image_improves(self):
         img = np.full((256, 256), 100, np.uint8)
