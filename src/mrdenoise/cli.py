@@ -190,17 +190,22 @@ def _parse_densities(text: str) -> list[float]:
         densities = [float(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"invalid density list: {text!r}") from None
-    for d in densities:
+    # a repeated density or method would add two runs into one mean
+    for i, d in enumerate(densities):
         if not 0.0 <= d <= 1.0:
             raise ValueError(f"density {d} outside [0, 1]")
+        if d in densities[:i]:
+            raise ValueError(f"density {d} given twice")
     return densities
 
 
 def _parse_methods(text: str) -> list[str]:
     methods = _comma_list(text, "method")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r} (choose from {', '.join(METHODS)})")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} given twice")
     return methods
 
 

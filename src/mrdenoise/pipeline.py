@@ -26,10 +26,11 @@ driver pads its blocks as int16, wide enough for every value the kernel
 computes. The kernel ranks each 3x3 window with the paper's sorter, here
 a compare-exchange network of ``np.minimum``/``np.maximum`` over whole
 planes pruned to the five ranks the classifiers and filters read, and
-runs each edge-preserve filter only on the pixels of its class. In the
-first pass of the default schedule the candidate rescue is bypassed
-(heavy noise makes neighbor similarity meaningless), so candidates are
-smoothed unconditionally.
+runs each edge-preserve filter only on the pixels of its class; the 3x3
+:func:`median_filter` is rank F4 of the same network. In the first pass
+of the default schedule the candidate rescue is bypassed (heavy noise
+makes neighbor similarity meaningless), so candidates are smoothed
+unconditionally.
 """
 
 from __future__ import annotations
@@ -101,18 +102,8 @@ class PixelClass(IntEnum):
 
     @property
     def label(self) -> str:
-        """CamelCase label used in stats CSV output."""
-        return _LABELS[self]
-
-
-_LABELS = {
-    PixelClass.KEEP_EDGE: "KeepEdge",
-    PixelClass.NOISY_EDGE: "NoisyEdge",
-    PixelClass.DISORDERED: "Disordered",
-    PixelClass.NOISY_SMOOTH: "NoisySmooth",
-    PixelClass.KEEP_SMOOTH: "KeepSmooth",
-    PixelClass.RESCUED_CANDIDATE: "RescuedCandidate",
-}
+        """CamelCase label used in stats CSV output: ``KEEP_EDGE`` is ``KeepEdge``."""
+        return self.name.title().replace("_", "")
 
 
 @dataclass(frozen=True)
@@ -543,18 +534,21 @@ def denoise_with_stats(
 def median_filter(img, k: int) -> np.ndarray:
     """Exact k x k median filter, k = 3 or 5, over a replication-padded frame.
 
-    The output pixel is the true order statistic of its neighborhood, not
-    a float approximation.
+    The output pixel is the true order statistic of its neighborhood: for
+    k = 3 rank F4 of the kernel's sorter over the nine uint8 window views
+    (``min``/``max`` cannot overflow), for k = 5 the middle of 25 views.
     """
     if k not in (3, 5):
         raise ValueError(f"window size must be 3 or 5, got {k}")
     arr = as_gray(img)
     if arr.shape[0] < k or arr.shape[1] < k:
         raise ValueError(f"image must be at least {k}x{k}, got {arr.shape}")
-    stack = np.stack(_window_planes(np.pad(arr, 2, mode="edge"), range(25) if k == 5 else _W3))
-    stack.partition(k * k // 2, axis=0)
-    # a copy, so the result does not keep the k*k-plane stack alive
-    return stack[k * k // 2].copy()
+    if k == 3:
+        return _sorter(_window_planes(np.pad(arr, 2, mode="edge"), _W3))[_SORTER_RANKS.index(4)]
+    # the padded frame stays unnamed, so the partition runs without it
+    stack = np.stack(_window_planes(np.pad(arr, 2, mode="edge"), range(25)))
+    stack.partition(12, axis=0)
+    return stack[12].copy()  # a copy, so the result does not keep the stack alive
 
 
 def write_class_stats_csv(

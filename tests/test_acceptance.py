@@ -72,23 +72,33 @@ def test_trend_anchor_40_percent():
     )
 
 
+def _median_oracle(img, k):
+    """The k x k median of every pixel by sorting its edge-padded window."""
+    p = np.pad(img, k // 2, mode="edge")
+    out = np.empty_like(img)
+    for r in range(img.shape[0]):
+        for c in range(img.shape[1]):
+            out[r, c] = sorted(p[r : r + k, c : c + k].ravel().tolist())[k * k // 2]
+    return out
+
+
 def test_median_filter_oracle_equivalence():
     """median_filter(k=3,5) equals a brute-force window-sort oracle exactly."""
-    checked = 0
-    for seed in range(50):
-        img = random_image(1000 + seed, 32, 32)
-        for k in (3, 5):
-            got = median_filter(img, k)
-            pad = k // 2
-            p = np.pad(img, pad, mode="edge")
-            expected = np.empty_like(img)
-            for r in range(32):
-                for c in range(32):
-                    window = sorted(p[r : r + k, c : c + k].ravel().tolist())
-                    expected[r, c] = window[len(window) // 2]
-            assert np.array_equal(got, expected)
-            checked += 1
-    _report("median-oracle", f"{checked} image/kernel combinations exact")
+    g = make_rng(7500)
+    images = [random_image(1000 + seed, 32, 32) for seed in range(50)]
+    # tie-heavy images over alphabets of 2 to 5 distinct values
+    for size in (2, 3, 4, 5):
+        for _ in range(5):
+            alphabet = g.choice(256, size, replace=False).astype(np.uint8)
+            images.append(alphabet[g.integers(0, size, (24, 24))])
+    images.append(random_image(1100, 17, 40))  # non-square
+    cases = [(img, k) for img in images for k in (3, 5)]
+    # the smallest frames each window size accepts
+    cases += [(random_image(1200 + h, h, w), 3) for h, w in ((3, 3), (3, 7), (7, 3))]
+    cases.append((random_image(1205, 5, 5), 5))
+    for img, k in cases:
+        assert np.array_equal(median_filter(img, k), _median_oracle(img, k)), (img.shape, k)
+    _report("median-oracle", f"{len(cases)} image/kernel combinations exact")
 
 
 def test_stream_frame_equivalence():

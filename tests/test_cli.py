@@ -370,6 +370,9 @@ class TestUsageErrors:
              "unknown method 'magic' (choose from proposed, median3, median5)"),
             (("eval", "{c}", "--out", "{o}", "--methods", " , "), "method list is empty"),
             (("eval", "{e}", "--out", "{o}"), "no .pgm images found in {e}"),
+            (("eval", "{c}", "--out", "{o}", "--densities", "0.1,0.2,0.10"), "density 0.1 given twice"),
+            (("eval", "{c}", "--out", "{o}", "--methods", "median3,proposed,median3"),
+             "method 'median3' given twice"),
         ],
     )
     def test_one_error_line_without_usage(self, tmp_path, sample, capsys, args, message):
