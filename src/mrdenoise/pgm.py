@@ -29,10 +29,13 @@ def _header_int(tokens: Iterator[re.Match], what: str) -> tuple[int, int]:
     m = next(tokens, None)
     if m is None:
         raise PgmFormatError("unexpected end of file in PGM header")
-    try:
-        return int(m[1]), m.end()
-    except ValueError:
-        raise PgmFormatError(f"invalid {what} in PGM header: {m[1]!r}") from None
+    # int() alone would also take a sign or an underscore, which PGM forbids
+    if m[1].isdigit():
+        try:
+            return int(m[1]), m.end()
+        except ValueError:  # more digits than int() converts
+            pass
+    raise PgmFormatError(f"invalid {what} in PGM header: {m[1]!r}")
 
 
 def read_pgm(path: str | os.PathLike) -> np.ndarray:
@@ -74,13 +77,16 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
         raise PgmFormatError(
             f"{width}x{height} raster needs {count} values, file holds at most {room}"
         )
+    # a token that is not all ASCII digits is dropped, so the count falls
+    # short (int() alone would take a sign or an underscore)
+    samples = filter(bytes.isdigit, (m[1] for m in islice(tokens, count)))
     try:
         # bytearray rejects any value outside [0, 255]
-        values = bytearray(int(m[1]) for m in islice(tokens, count))
+        values = bytearray(map(int, samples))
     except ValueError as exc:
         raise PgmFormatError(f"bad PGM pixel value: {exc}") from None
     if len(values) < count:
-        raise PgmFormatError(f"expected {count} pixel values, found {len(values)}")
+        raise PgmFormatError(f"expected {count} decimal pixel values, found {len(values)}")
     # nothing but whitespace/comments may follow the raster
     if next(tokens, None) is not None:
         raise PgmFormatError("trailing data after PGM raster")

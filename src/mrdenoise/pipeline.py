@@ -26,8 +26,11 @@ driver pads its blocks as int16, wide enough for every value the kernel
 computes. The kernel ranks each 3x3 window with the paper's sorter, here
 a compare-exchange network of ``np.minimum``/``np.maximum`` over whole
 planes pruned to the five ranks the classifiers and filters read, and
-runs each edge-preserve filter only on the pixels of its class; the 3x3
-:func:`median_filter` is rank F4 of the same network. In the first pass
+runs each edge-preserve filter only on the pixels of its class. One
+runner, :func:`_select`, runs every pruned network: the sorter, and for
+:func:`median_filter` the same network pruned to F4 (3x3) and Batcher's
+merge-exchange network pruned to its middle rank (5x5), both on uint8
+views in the frame engine's row bands. In the first pass
 of the default schedule the candidate rescue is bypassed (heavy noise
 makes neighbor similarity meaningless), so candidates are smoothed
 unconditionally.
@@ -280,45 +283,86 @@ def _line_restore(taps: np.ndarray) -> np.ndarray:
 
 
 # Floyd's optimal 25-comparator sorting network on nine inputs (Knuth, TAOCP
-# vol. 3, §5.3.4), pruned to the ranks the classifiers and filters read: F0,
-# F3, F4, F5 and F8. A comparator (i, j) leaves the smaller value on wire i
-# and the larger on wire j; "min" or "max" marks one whose other output no
-# later comparator reads. The first layer is _SORTER_LAYER1, which does not
-# touch wire 6; _SORTER holds the other six layers, one per line.
-_SORTER_LAYER1 = ((0, 3), (1, 7), (2, 5), (4, 8))
-_SORTER = (
-    (0, 7, ""), (2, 4, ""), (3, 8, ""), (5, 6, ""),
-    (0, 2, ""), (1, 3, ""), (4, 5, ""), (7, 8, ""),
-    (1, 4, ""), (3, 6, ""), (5, 7, ""),
-    (0, 1, "min"), (2, 4, ""), (3, 5, ""), (6, 8, ""),
-    (2, 3, "max"), (4, 5, ""), (6, 7, "min"),
-    (3, 4, ""), (5, 6, "min"),
+# vol. 3, §5.3.4), one layer per line. A comparator (i, j) leaves the smaller
+# value on wire i and the larger on wire j.
+_FLOYD9 = (
+    (0, 3), (1, 7), (2, 5), (4, 8),
+    (0, 7), (2, 4), (3, 8), (5, 6),
+    (0, 2), (1, 3), (4, 5), (7, 8),
+    (1, 4), (3, 6), (5, 7),
+    (0, 1), (2, 4), (3, 5), (6, 8),
+    (2, 3), (4, 5), (6, 7),
+    (1, 2), (3, 4), (5, 6),
 )
-_SORTER_RANKS = (0, 3, 4, 5, 8)
 
 
-def _sorter(p3: list[np.ndarray]) -> list[np.ndarray]:
-    """Ranks F0, F3, F4, F5 and F8 of the nine 3x3 window planes *p3*.
+def _merge_exchange(n: int) -> list[tuple[int, int]]:
+    """Batcher's merge-exchange sorting network on *n* inputs (Knuth, TAOCP
+    vol. 3, §5.2.2, Algorithm M), in the order the algorithm emits it."""
+    t = (n - 1).bit_length()
+    comparators = []
+    p = 1 << (t - 1)
+    while p:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            comparators += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return comparators
 
-    The first layer writes into fresh planes and wire 6 gets a copy, so the
-    window views are never written; every later comparator works in place,
-    with one spare plane taking its smaller value.
+
+def _prune(network, ranks) -> tuple[tuple[int, int, str], ...]:
+    """*network* pruned backwards to the comparators that reach the wires *ranks*.
+
+    Each kept comparator is ``(i, j, half)``: half is "min" or "max" when
+    only that output is read later, and "" when both are.
     """
-    f = [None] * 9
-    for i, j in _SORTER_LAYER1:
-        f[i], f[j] = np.minimum(p3[i], p3[j]), np.maximum(p3[i], p3[j])
-    f[6] = p3[6].copy()
-    spare = np.empty_like(f[6])
-    for i, j, half in _SORTER:
-        if half == "min":
-            np.minimum(f[i], f[j], out=f[i])
-        elif half == "max":
-            np.maximum(f[i], f[j], out=f[j])
+    live, kept = set(ranks), []
+    for i, j in reversed(network):
+        if i in live or j in live:
+            kept.append((i, j, "" if {i, j} <= live else "min" if i in live else "max"))
+            live |= {i, j}
+    return tuple(reversed(kept))
+
+
+# the ranks the classifiers and filters read: 24 comparators, 44 ufunc calls
+_SORTER_RANKS = (0, 3, 4, 5, 8)
+_SORTER = _prune(_FLOYD9, _SORTER_RANKS)
+# the 3x3 median: 20 comparators, 32 calls
+_MEDIAN9 = _prune(_FLOYD9, (4,))
+# the 5x5 median: 138 comparators pruned to 113, 202 calls
+_MEDIAN25 = _prune(_merge_exchange(25), (12,))
+
+
+def _select(planes: list[np.ndarray], table, ranks) -> list[np.ndarray]:
+    """The planes at wires *ranks* after the pruned comparator *table* runs on *planes*.
+
+    A comparator that reads an input plane writes its outputs into fresh
+    planes, so the inputs (window views) are never written; every later
+    output is written in place, with one spare plane taking a full
+    comparator's smaller value.
+    """
+    # [*planes] takes its list from CPython's free list; list(planes) would not,
+    # yet would return it there, so a per-row run would fill the free list
+    f = [*planes]
+    own = [False] * len(f)  # the wires holding a plane this call allocated
+    spare = None
+    for i, j, half in table:
+        a, b = f[i], f[j]
+        if not half:
+            f[i] = np.minimum(a, b, out=spare)
+            f[j] = np.maximum(a, b, out=b if own[j] else None)
+            spare = a if own[i] else None
+            own[i] = own[j] = True
+        elif half == "min":
+            f[i] = np.minimum(a, b, out=a if own[i] else None)
+            own[i] = True
         else:
-            np.minimum(f[i], f[j], out=spare)
-            np.maximum(f[i], f[j], out=f[j])
-            f[i], spare = spare, f[i]
-    return [f[i] for i in _SORTER_RANKS]
+            f[j] = np.maximum(a, b, out=b if own[j] else None)
+            own[j] = True
+    return [f[r] for r in ranks]
 
 
 def _iterate_block(
@@ -344,7 +388,7 @@ def _iterate_block(
     """
     p3 = _window_planes(padded, _W3)
     center = p3[4]
-    f0, f3, f4, f5, f8 = _sorter(p3)
+    f0, f3, f4, f5, f8 = _select(p3, _SORTER, _SORTER_RANKS)
 
     # sorted gaps, f8 - center and center - f0 are non-negative by construction
     edge = (f4 - f3 > th.t1) | (f5 - f4 > th.t1)
@@ -534,21 +578,26 @@ def denoise_with_stats(
 def median_filter(img, k: int) -> np.ndarray:
     """Exact k x k median filter, k = 3 or 5, over a replication-padded frame.
 
-    The output pixel is the true order statistic of its neighborhood: for
-    k = 3 rank F4 of the kernel's sorter over the nine uint8 window views
-    (``min``/``max`` cannot overflow), for k = 5 the middle of 25 views.
+    The output pixel is the true order statistic of its neighborhood: the
+    middle wire of a comparator network pruned to that one rank, run on the
+    uint8 window views (``min``/``max`` cannot overflow, so nothing is
+    widened). k = 3 runs the kernel's Floyd network pruned to F4, k = 5
+    Batcher's merge-exchange network on 25 inputs pruned to rank 12. Like
+    the frame engine, it walks bands of ``_BAND_PX // width`` rows.
     """
     if k not in (3, 5):
         raise ValueError(f"window size must be 3 or 5, got {k}")
     arr = as_gray(img)
     if arr.shape[0] < k or arr.shape[1] < k:
         raise ValueError(f"image must be at least {k}x{k}, got {arr.shape}")
-    if k == 3:
-        return _sorter(_window_planes(np.pad(arr, 2, mode="edge"), _W3))[_SORTER_RANKS.index(4)]
-    # the padded frame stays unnamed, so the partition runs without it
-    stack = np.stack(_window_planes(np.pad(arr, 2, mode="edge"), range(25)))
-    stack.partition(12, axis=0)
-    return stack[12].copy()  # a copy, so the result does not keep the stack alive
+    table, taps, mid = (_MEDIAN9, _W3, 4) if k == 3 else (_MEDIAN25, range(25), 12)
+    padded = np.pad(arr, 2, mode="edge")
+    out = np.empty_like(arr)
+    rows = max(1, _BAND_PX // arr.shape[1])
+    for r in range(0, arr.shape[0], rows):
+        planes = _window_planes(padded[r : r + rows + 4], taps)
+        out[r : r + rows] = _select(planes, table, (mid,))[0]
+    return out
 
 
 def write_class_stats_csv(

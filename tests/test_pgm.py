@@ -173,6 +173,17 @@ class TestReader:
         with pytest.raises(PgmFormatError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("field", ["width", "height", "maxval", "sample"])
+    @pytest.mark.parametrize("spell", [b"+%s", b"-%s", b"0_%s"], ids=["plus", "minus", "underscore"])
+    def test_number_not_all_digits_rejected(self, tmp_path, field, spell):
+        # int() takes a sign and underscores; a PGM number is ASCII digits only
+        fields = {"width": b"2", "height": b"1", "maxval": b"255", "sample": b"7"}
+        fields[field] = spell % fields[field]
+        path = tmp_path / "n.pgm"
+        path.write_bytes(b"P2 " + b" ".join(fields.values()) + b" 3\n")
+        with pytest.raises(PgmFormatError):
+            read_pgm(path)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_pgm(tmp_path / "absent.pgm")
