@@ -13,6 +13,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from .image import _require_int
+
 __all__ = [
     "Thresholds",
     "parse_thresholds_config",
@@ -54,7 +56,7 @@ class Thresholds:
 
     def __post_init__(self):
         for name in ("t1", "t2", "t3", "t4", "t5"):
-            if getattr(self, name) < 0:
+            if _require_int(name, getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.t5 > 8:
             raise ValueError("t5 counts 3x3 neighbors and cannot exceed 8")

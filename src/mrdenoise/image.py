@@ -8,6 +8,7 @@ return fresh arrays, so they are safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -21,6 +22,14 @@ __all__ = [
 
 INTENSITY_LEVELS = 256
 PEAK = INTENSITY_LEVELS - 1
+
+
+def _require_int(name: str, value) -> int:
+    """*value* as an int, or a ValueError naming *name* when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_gray(img) -> np.ndarray:

@@ -14,13 +14,12 @@ fixed draw order makes corrupted corpora reproducible bit-for-bit from
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .image import INTENSITY_LEVELS, PEAK, as_gray
+from .image import INTENSITY_LEVELS, PEAK, _require_int, as_gray
 from .pgm import read_pgm, write_pgm
 
 __all__ = [
@@ -58,10 +57,7 @@ class NoiseSpec:
         if not (self.p1 >= 0.0 and self.p2 >= 0.0 and self.p1 + self.p2 <= 1.0):
             raise ValueError("p1 and p2 must be nonnegative with p1 + p2 <= 1")
         for label, value in (("margin m", self.m), ("seed", self.seed)):
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{label} must be an integer, got {value!r}") from None
+            _require_int(label, value)
         if not 0 <= self.m <= 127:
             raise ValueError(f"margin m must lie in [0, 127], got {self.m}")
         if self.seed < 0:

@@ -13,6 +13,11 @@ decision tree and restored by the filter matched to its class:
    rescued when similar to their neighbors, otherwise smoothed by the
    median-rank average; everything else is kept.
 
+The kernel packs each pixel's five predicates into a uint8 code (bit 0
+edge, 1 noisy edge, 2 similar, 3 disordered, 4 candidate) and looks its
+class up in a 32-entry table. :func:`_decide` walks the tree once per
+code to build the tables and the stages on each code's path.
+
 Each pass reads only the output of the previous pass, which makes
 per-pixel work order-independent. One driver runs every pass over a
 stream of row chunks, handing each pass's restored rows to the next pass
@@ -42,7 +47,7 @@ import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain
 
 import numpy as np
@@ -57,7 +62,7 @@ from .detect import (
     type1_edge,
     type2_edge,
 )
-from .image import as_gray
+from .image import _require_int, as_gray
 from .restore import _PAIRS, average_restore, type1_edge_preserve, type2_edge_preserve
 
 __all__ = [
@@ -129,7 +134,7 @@ class PipelineConfig:
     eq4_literal_weights: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.iterations <= MAX_ITERATIONS:
+        if not 1 <= _require_int("iterations", self.iterations) <= MAX_ITERATIONS:
             raise ValueError(f"iterations must be 1 to {MAX_ITERATIONS}, got {self.iterations}")
 
 
@@ -365,20 +370,66 @@ def _select(planes: list[np.ndarray], table, ranks) -> list[np.ndarray]:
     return [f[r] for r in ranks]
 
 
+_CODES = 32  # the kernel's 5-bit predicate codes
+
+
+def _decide(code: int, gate_active: bool, skip_npc: bool, ran: list[str]) -> PixelClass:
+    """The class of a pixel whose predicates are the bits of *code*, by the
+    branches of :func:`classify_window`; appends to *ran* each stage the
+    scalar specification runs on it, the sorter and restore filter too."""
+    edge, noisy_edge, similar, disordered, candidate = (code >> b & 1 for b in range(5))
+    ran += ["sorter", "type1_edge_detector"]
+    if edge:
+        ran.append("type2_edge_detector")
+        if not noisy_edge:
+            ran.append("similarity_checker")
+            if similar:
+                return PixelClass.KEEP_EDGE
+        ran.append("type2_edge_preserve_filter")
+        return PixelClass.NOISY_EDGE
+    ran.append("disorder_analyzer")
+    if disordered:
+        ran.append("type1_edge_preserve_filter")
+        return PixelClass.DISORDERED
+    if skip_npc:
+        return PixelClass.KEEP_SMOOTH
+    ran.append("noisy_pixel_checker")
+    if not candidate:
+        return PixelClass.KEEP_SMOOTH
+    if gate_active:
+        ran.append("similarity_checker")
+        if similar:
+            return PixelClass.RESCUED_CANDIDATE
+    ran.append("average_filter")
+    return PixelClass.NOISY_SMOOTH
+
+
+@cache
+def _tables(gate_active: bool, skip_npc: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One schedule step's tables, from :func:`_decide`: ``classes[code]``
+    is the class of each code, and ``runs[code, m]`` how often module
+    ``MODULE_NAMES[m]`` runs on it."""
+    classes = np.zeros(_CODES, np.uint8)
+    runs = np.zeros((_CODES, len(MODULE_NAMES)), np.int64)
+    for code in range(_CODES):
+        ran: list[str] = []
+        classes[code] = _decide(code, gate_active, skip_npc, ran)
+        runs[code] = [ran.count(name) for name in MODULE_NAMES]
+    classes.flags.writeable = runs.flags.writeable = False  # cached: every pass shares them
+    return classes, runs
+
+
 def _iterate_block(
-    padded: np.ndarray,
-    th: Thresholds,
-    gate_active: bool,
-    skip_npc: bool,
-    weights_inside_abs: bool,
-) -> tuple[np.ndarray, np.ndarray, int]:
+    padded: np.ndarray, th: Thresholds, classes: np.ndarray, weights_inside_abs: bool
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized classify + restore over one padded int16 block.
 
-    Returns the restored block, its class plane, and the number of edge
-    pixels the directional test alone marks noisy (those skip the
-    similarity check). The nine 3x3 window planes go through the sorter
-    network, which yields only the five ranks the classifiers and filters
-    read. The classifiers run on whole planes; each edge-preserve filter
+    Returns the restored block and its uint8 predicate code plane (bit 0
+    edge, 1 noisy edge, 2 similar, 3 disordered, 4 candidate). Each
+    predicate is folded into the code from bit 4 down, and the class is
+    ``classes[code]``, a table from :func:`_tables`. The nine 3x3 window
+    planes go through the sorter network, which yields only the five
+    ranks the classifiers and filters read. Each edge-preserve filter
     gathers the taps it reads for the pixels of its class only, computes
     on those columns and scatters the results. All arithmetic is exact
     integer work mirroring the scalar stage functions, and no value leaves
@@ -390,18 +441,23 @@ def _iterate_block(
     center = p3[4]
     f0, f3, f4, f5, f8 = _select(p3, _SORTER, _SORTER_RANKS)
 
-    # sorted gaps, f8 - center and center - f0 are non-negative by construction
-    edge = (f4 - f3 > th.t1) | (f5 - f4 > th.t1)
-    sim_count = np.zeros(center.shape, np.uint8)  # at most 8
-    for i in (0, 1, 2, 3, 5, 6, 7, 8):
-        sim_count += np.abs(p3[i] - center) <= th.t4
-    similar = sim_count >= th.t5
-    disordered = (
+    # sorted gaps, f8 - center and center - f0 are non-negative by construction;
+    # the candidate test's bool plane becomes the code, shifted up to bit 4
+    code = ((f8 - center < th.t4) | (center - f0 < th.t4)).view(np.uint8)
+    code <<= 1
+    code |= (
         (np.abs(f5 - center) > th.t3)
         & (np.abs(center - f3) > th.t3)
         & (np.abs(center - f4) > th.t3)
     )
-    candidate = (f8 - center < th.t4) | (center - f0 < th.t4)
+    sim_count = np.zeros(center.shape, np.uint8)  # at most 8
+    for i in (0, 1, 2, 3, 5, 6, 7, 8):
+        sim_count += np.abs(p3[i] - center) <= th.t4
+    code <<= 1
+    code |= sim_count >= th.t5
+    # bit 0, folded in last; one bool plane through the 5x5 stage where
+    # the edge test's three sorted planes would be int16
+    edge = (f4 - f3 > th.t1) | (f5 - f4 > th.t1)
     avg = (f3 + f4 + f5 + 1) // 3  # the sum is at most 3 * 255 + 1 = 766
     del f0, f3, f4, f5, f8  # free the sorted planes before the 5x5 stage
 
@@ -412,43 +468,36 @@ def _iterate_block(
         2 * (np.abs(center - n1) + np.abs(center - n2)) + np.abs(kc - f1) + np.abs(kc - f2)
         for n1, n2, f1, f2 in lines
     )
-    noisy_edge = reduce(np.minimum, d_half) > 2 * th.t2
+    code <<= 1
+    code |= reduce(np.minimum, d_half) > 2 * th.t2
+    code <<= 1
+    code |= edge
 
-    ke, ne, dis, ns, ks, rc = (np.uint8(c) for c in PixelClass)
-    if skip_npc:
-        cand_branch = ks
-    elif gate_active:
-        cand_branch = np.where(similar, rc, ns)
-    else:
-        cand_branch = ns
-    cls = np.where(
-        edge,
-        np.where(noisy_edge, ne, np.where(similar, ke, ne)),
-        np.where(disordered, dis, np.where(candidate, cand_branch, ks)),
-    )
-
+    _, ne, dis, ns, _, _ = (np.uint8(c) for c in PixelClass)
+    cls = classes.take(code)  # about 3x faster than classes[code] on a 32 K-pixel band
     out = center.astype(np.uint8)
     np.copyto(out, avg, casting="unsafe", where=cls == ns)
     flat, width = padded.ravel(), padded.shape[1]
+    cls, w = cls.ravel(), out.shape[1]
     for label, (tap_rows, tap_cols), restore in (
         (dis, _PAIR_TAPS, _pair_restore),
         (ne, _LINE_TAPS, _line_restore),
     ):
-        r, c = np.nonzero(cls == label)
-        if r.size:
-            # pixel (r, c) has the top-left corner of its 5x5 window at padded[r, c]
-            out[r, c] = restore(flat[r * width + c + (tap_rows * width + tap_cols)[:, None]])
-    return out, cls, int(np.count_nonzero(edge & noisy_edge))
+        i = np.flatnonzero(cls == label)
+        if i.size:
+            # pixel i has the top-left corner of its 5x5 window at i + 4 * (i // w)
+            out.ravel()[i] = restore(flat[i + 4 * (i // w) + (tap_rows * width + tap_cols)[:, None]])
+    return out, code
 
 
-def _schedule(cfg: PipelineConfig) -> list[tuple[bool, bool]]:
-    """``(gate_active, skip_noisy_pixel_check)`` for each pass of *cfg*.
+def _schedule(cfg: PipelineConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(classes, runs)`` tables of each pass of *cfg*.
 
     Only the first pass departs from the full decision tree, as the
     ``iteration1_*`` options select.
     """
     return [
-        (
+        _tables(
             not (k == 0 and cfg.iteration1_skips_similarity_gate),
             k == 0 and cfg.iteration1_skips_noisy_pixel_check,
         )
@@ -456,38 +505,17 @@ def _schedule(cfg: PipelineConfig) -> list[tuple[bool, bool]]:
     ]
 
 
-# tally layout: one slot per PixelClass, then the edge pixels that the
-# directional test alone marks noisy
-_DIRECT_NOISY_EDGE = len(PixelClass)
-
-
-def _module_counts(tally: np.ndarray, gate_active: bool, skip_npc: bool) -> dict[str, int]:
-    """Per-stage invocation counts of one pass, in ``MODULE_NAMES`` order."""
-    counts = [int(v) for v in tally]
-    n = sum(counts[:_DIRECT_NOISY_EDGE])
-    edges = counts[PixelClass.KEEP_EDGE] + counts[PixelClass.NOISY_EDGE]
-    disordered = counts[PixelClass.DISORDERED]
-    # edges the directional test alone marks noisy never reach the
-    # similarity check; candidates reach it only while the gate is active
-    # (with the noisy-pixel check skipped there are no candidates at all)
-    similarity_checks = edges - counts[_DIRECT_NOISY_EDGE]
-    if gate_active:
-        similarity_checks += counts[PixelClass.NOISY_SMOOTH] + counts[PixelClass.RESCUED_CANDIDATE]
-    return {
-        "sorter": n,
-        "type1_edge_detector": n,
-        "type2_edge_detector": edges,
-        "disorder_analyzer": n - edges,
-        "noisy_pixel_checker": 0 if skip_npc else n - edges - disordered,
-        "similarity_checker": similarity_checks,
-        "average_filter": counts[PixelClass.NOISY_SMOOTH],
-        "type1_edge_preserve_filter": disordered,
-        "type2_edge_preserve_filter": counts[PixelClass.NOISY_EDGE],
-    }
+def _pass_stats(bins: list[np.ndarray], cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
+    """Per-pass class counts and module counts, as sums over each pass's code bins."""
+    class_stats, module_stats = [], []
+    for b, (classes, runs) in zip(bins, _schedule(cfg)):
+        class_stats.append({c: int(b[classes == c].sum()) for c in PixelClass})
+        module_stats.append(dict(zip(MODULE_NAMES, (b @ runs).tolist())))
+    return class_stats, module_stats
 
 
 def _drive(
-    chunks: Iterable[np.ndarray], cfg: PipelineConfig, tallies: list[np.ndarray]
+    chunks: Iterable[np.ndarray], cfg: PipelineConfig, bins: list[np.ndarray]
 ) -> Iterator[np.ndarray]:
     """Run every pass of *cfg* over uint8 row chunks, yielding restored rows.
 
@@ -501,17 +529,18 @@ def _drive(
     edge padding, so every chunking of an image gives the same output, and
     a run makes one kernel call per pass per chunk plus one per pass. The
     rows of that last call leave one at a time, as a row stream expects.
-    ``tallies[k]`` accumulates pass *k*'s class counts and its direct
-    noisy-edge count.
+    One histogram of predicate codes per pass is appended to *bins*, for
+    :func:`_pass_stats`.
     """
     schedule = _schedule(cfg)
+    bins += [np.zeros(_CODES, np.int64) for _ in schedule]
     carries: list[np.ndarray | None] = [None] * len(schedule)
     cols = None
     for rows in chain(chunks, [None]):
         end = rows is None
         if cols is None:
             cols = np.clip(np.arange(-2, rows.shape[1] + 2), 0, rows.shape[1] - 1)
-        for k, (gate_active, skip_npc) in enumerate(schedule):
+        for k, (classes, _) in enumerate(schedule):
             carry = carries[k]
             if rows is None:  # end of input at the first pass
                 block = carry
@@ -524,11 +553,8 @@ def _drive(
             carries[k] = block[-4:].copy()  # a view would keep the whole block alive
             if len(block) < 5:
                 break  # no full window yet, so nothing reaches the later passes
-            rows, cls, direct = _iterate_block(
-                block, cfg.thresholds, gate_active, skip_npc, cfg.eq4_literal_weights
-            )
-            tallies[k][:_DIRECT_NOISY_EDGE] += np.bincount(cls.ravel(), minlength=len(PixelClass))
-            tallies[k][_DIRECT_NOISY_EDGE] += direct
+            rows, code = _iterate_block(block, cfg.thresholds, classes, cfg.eq4_literal_weights)
+            bins[k] += np.bincount(code.ravel(), minlength=_CODES)
         else:
             yield from np.split(rows, len(rows)) if end else [rows]
 
@@ -556,11 +582,9 @@ def _run(
     cfg = cfg or PipelineConfig()
     rows = rows or max(1, _BAND_PX // arr.shape[1])
     chunks = (arr[r : r + rows] for r in range(0, arr.shape[0], rows))
-    tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in range(cfg.iterations)]
-    out = np.concatenate(list(_drive(chunks, cfg, tallies)))
-    class_stats = [{c: int(t[c]) for c in PixelClass} for t in tallies]
-    module_stats = [_module_counts(t, *step) for t, step in zip(tallies, _schedule(cfg))]
-    return out, class_stats, module_stats
+    bins: list[np.ndarray] = []
+    out = np.concatenate(list(_drive(chunks, cfg, bins)))
+    return (out, *_pass_stats(bins, cfg))
 
 
 def denoise(img, cfg: PipelineConfig | None = None) -> np.ndarray:

@@ -11,9 +11,10 @@ the same windows under the same pass schedule.
 
 Per-stage invocation counts (sorter, the two edge detectors, disorder
 analyzer, noisy-pixel checker, similarity checker, and the three
-restoration filters) are derived from the kernel's class counts with the
-short-circuit rules of :func:`mrdenoise.pipeline.classify_window`, so
-they equal what the scalar specification would count pixel by pixel.
+restoration filters) are sums over each pass's histogram of the kernel's
+5-bit predicate codes, each weighted by the stages on that code's path
+through :func:`mrdenoise.pipeline.classify_window`, so they equal what
+the scalar specification would count pixel by pixel.
 """
 
 from __future__ import annotations

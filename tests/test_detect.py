@@ -39,6 +39,12 @@ class TestThresholds:
         with pytest.raises(ValueError):
             Thresholds(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [dict(t1="5"), dict(t5=float("nan")), dict(t3=2.5)])
+    def test_non_integer_rejected(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            Thresholds(**kwargs)
+
 
 class TestType1Edge:
     def test_uniform_is_non_edge(self):

@@ -6,6 +6,7 @@ import pytest
 from conftest import axis_step, make_rng, random_image, scalar_pass, synthetic_mr_slice
 
 from mrdenoise import (
+    MODULE_NAMES,
     NoiseSpec,
     PipelineConfig,
     PixelClass,
@@ -19,18 +20,30 @@ from mrdenoise import (
     write_class_stats_csv,
 )
 from mrdenoise import pipeline
-from mrdenoise.detect import FAR_PIXELS, NEAR_PIXELS, directional_distances
+from mrdenoise.detect import (
+    FAR_PIXELS,
+    NEAR_PIXELS,
+    directional_distances,
+    disorder,
+    noisy_pixel,
+    similarity,
+    type1_edge,
+    type2_edge,
+)
 from mrdenoise.pipeline import (
     _BAND_PX,
-    _DIRECT_NOISY_EDGE,
     _MEDIAN9,
     _MEDIAN25,
     _SORTER,
     _SORTER_RANKS,
     MAX_ITERATIONS,
     _drive,
+    _iterate_block,
+    _pass_stats,
     _select,
+    _tables,
     classify,
+    classify_window,
 )
 
 
@@ -45,9 +58,9 @@ def one_pass(gate_active: bool = True) -> PipelineConfig:
 
 def drive_one_chunk(img, cfg):
     """Output and per-pass class counts of the pass driver fed *img* as one chunk."""
-    tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in range(cfg.iterations)]
-    out = np.concatenate(list(_drive([img], cfg, tallies)))
-    return out, [{c: int(t[c]) for c in PixelClass} for t in tallies]
+    bins = []
+    out = np.concatenate(list(_drive([img], cfg, bins)))
+    return out, _pass_stats(bins, cfg)[0]
 
 
 class TestConfig:
@@ -64,6 +77,10 @@ class TestConfig:
         for iterations in (0, MAX_ITERATIONS + 1, 10**20):
             with pytest.raises(ValueError, match="iterations"):
                 PipelineConfig(iterations=iterations)
+
+    def test_fractional_iterations_rejected(self):
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            PipelineConfig(iterations=2.5)
 
 
 class TestClassify:
@@ -138,6 +155,65 @@ class TestRestorePixel:
     def test_disordered_uses_pair_average(self):
         w3 = [10, 10, 10, 10, 255, 10, 10, 10, 10]
         assert restore_pixel(PixelClass.DISORDERED, w3, [0] * 25, sorted(w3)) == 10
+
+
+# the scalar predicate behind each bit of the kernel's code, lowest first
+PREDICATE_BITS = ("type1_edge", "type2_edge", "similarity", "disorder", "noisy_pixel")
+
+
+class TestTruthTable:
+    @pytest.mark.parametrize("gate_active", [True, False])
+    @pytest.mark.parametrize("skip_npc", [False, True])
+    def test_tables_match_scalar_spec(self, monkeypatch, gate_active, skip_npc):
+        # each predicate answers with one bit of the code, so the scalar
+        # specification walks the code's path through the decision tree
+        classes, runs = _tables(gate_active, skip_npc)
+        w3, w5 = [0] * 9, [0] * 25
+        for code in range(32):
+            for bit, name in enumerate(PREDICATE_BITS):
+                answer = bool(code >> bit & 1)
+                monkeypatch.setattr(pipeline, name, lambda *args, answer=answer, **kwargs: answer)
+            counters = dict.fromkeys(MODULE_NAMES, 0)
+            counters["sorter"] += 1
+            cls = classify_window(
+                w3,
+                w5,
+                sorted(w3),
+                Thresholds(),
+                gate_active=gate_active,
+                skip_noisy_pixel_check=skip_npc,
+                counters=counters,
+            )
+            restore_pixel(cls, w3, w5, sorted(w3), counters)
+            assert cls == classes[code], code
+            assert list(counters.values()) == runs[code].tolist(), code
+
+    @pytest.mark.parametrize("eq4_literal", [False, True])
+    def test_code_bits_are_scalar_predicates(self, eq4_literal):
+        g = make_rng(4500)
+        for trial in range(20):
+            img = random_image(4500 + trial, 9, 11)
+            th = Thresholds(
+                t1=int(g.integers(0, 60)),
+                t2=int(g.integers(0, 300)),
+                t3=int(g.integers(0, 60)),
+                t4=int(g.integers(0, 30)),
+                t5=int(g.integers(0, 9)),
+            )
+            block = padded(img).astype(np.int16)
+            _, code = _iterate_block(block, th, _tables(True, False)[0], eq4_literal)
+            for (r, c), value in np.ndenumerate(code):
+                w5 = block[r : r + 5, c : c + 5].ravel().tolist()
+                w3 = [w5[i] for i in pipeline._W3]
+                f = sorted(w3)
+                bits = (
+                    type1_edge(f, th.t1),
+                    type2_edge(w5, th.t2, weights_inside_abs=eq4_literal),
+                    similarity(w3, th.t4, th.t5),
+                    disorder(w3[4], f, th.t3),
+                    noisy_pixel(w3[4], f, th.t4),
+                )
+                assert value == sum(b << i for i, b in enumerate(bits)), (trial, r, c)
 
 
 class TestSorter:
@@ -360,13 +436,11 @@ class TestDenoise:
         cfg = PipelineConfig(iterations=3)
         base, stats = denoise_with_stats(img, cfg)
         for rows in (1, 2, 3, 7, 43, 44, 45):
-            tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in range(cfg.iterations)]
+            bins = []
             chunks = (img[r : r + rows] for r in range(0, img.shape[0], rows))
-            out = np.concatenate(list(_drive(chunks, cfg, tallies)))
+            out = np.concatenate(list(_drive(chunks, cfg, bins)))
             assert np.array_equal(out, base), rows
-            assert [[int(t[c]) for c in PixelClass] for t in tallies] == [
-                [counts[c] for c in PixelClass] for counts in stats
-            ]
+            assert _pass_stats(bins, cfg)[0] == stats
 
     def test_bands_match_one_chunk(self):
         # the frame engine cuts the image into bands of _BAND_PX // width
@@ -416,8 +490,7 @@ class TestDenoise:
         cfg = PipelineConfig(iterations=iterations)
         for rows in (96, 32):
             calls = 0
-            tallies = [np.zeros(_DIRECT_NOISY_EDGE + 1, np.int64) for _ in range(iterations)]
-            list(_drive((img[r : r + rows] for r in range(0, 96, rows)), cfg, tallies))
+            list(_drive((img[r : r + rows] for r in range(0, 96, rows)), cfg, []))
             assert calls == iterations * (96 // rows + 1), rows
 
     def test_locality_radius(self):
