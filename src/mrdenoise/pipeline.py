@@ -19,11 +19,12 @@ class up in a 32-entry table. :func:`_decide` walks the tree once per
 code to build the tables and the stages on each code's path.
 
 Each pass reads only the output of the previous pass, which makes
-per-pixel work order-independent. One driver runs every pass over a
-stream of row chunks, handing each pass's restored rows to the next pass
-as they appear. Both engines enter it through ``_run``, which checks the
-image and feeds cache-sized bands of rows for the frame engine
-(:func:`denoise`) or one row per chunk for the stream engine
+per-pixel work order-independent. :func:`_drive` runs the passes as a
+pipeline over a stream of row chunks: each pass's restored rows reach the
+next pass one step later, and the blocks of one step go through the
+kernel stacked in one call. Both engines enter it through ``_run``,
+which checks the image and feeds cache-sized bands of rows for the frame
+engine (:func:`denoise`) or one row per chunk for the stream engine
 (:mod:`mrdenoise.stream`); every chunking gives the same result. The
 kernel, :func:`classify` and :func:`median_filter` read one window
 layout: the 25 views of a 2-pixel-padded frame, 3x3 at ``_W3``. The
@@ -48,7 +49,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache, reduce
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -143,10 +144,10 @@ _W3 = (6, 7, 8, 11, 12, 13, 16, 17, 18)
 
 
 def _window_planes(padded: np.ndarray, taps: Iterable[int]) -> list[np.ndarray]:
-    """The shifted views of a 2-pixel-padded frame at the given positions
-    of the row-major 5x5 window."""
-    h, w = padded.shape[0] - 4, padded.shape[1] - 4
-    return [padded[t // 5 : t // 5 + h, t % 5 : t % 5 + w] for t in taps]
+    """The shifted views of a 2-pixel-padded frame, or of a stack of them on
+    leading axes, at the given positions of the row-major 5x5 window."""
+    h, w = padded.shape[-2] - 4, padded.shape[-1] - 4
+    return [padded[..., t // 5 : t // 5 + h, t % 5 : t % 5 + w] for t in taps]
 
 
 def classify_window(
@@ -422,12 +423,16 @@ def _tables(gate_active: bool, skip_npc: bool) -> tuple[np.ndarray, np.ndarray]:
 def _iterate_block(
     padded: np.ndarray, th: Thresholds, classes: np.ndarray, weights_inside_abs: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized classify + restore over one padded int16 block.
+    """Vectorized classify + restore over a stack of padded int16 blocks.
 
-    Returns the restored block and its uint8 predicate code plane (bit 0
-    edge, 1 noisy edge, 2 similar, 3 disordered, 4 candidate). Each
-    predicate is folded into the code from bit 4 down, and the class is
-    ``classes[code]``, a table from :func:`_tables`. The nine 3x3 window
+    *padded* stacks n blocks of one shape on its leading axis, one per
+    pass, and ``classes[32 * j : 32 * j + 32]`` is block j's table from
+    :func:`_tables`. Returns the restored blocks and their code planes
+    (uint8, or uint16 past 8 blocks): each pixel's five predicate bits
+    (bit 0 edge, 1 noisy edge, 2 similar, 3 disordered, 4 candidate) plus
+    ``32 * j``, so that one lookup classifies every block and one
+    histogram counts them. Each predicate is folded into the code from
+    bit 4 down. The nine 3x3 window
     planes go through the sorter network, which yields only the five
     ranks the classifiers and filters read. Each edge-preserve filter
     gathers the taps it reads for the pixels of its class only, computes
@@ -462,7 +467,7 @@ def _iterate_block(
     del f0, f3, f4, f5, f8  # free the sorted planes before the 5x5 stage
 
     lines = [_window_planes(padded, near + far) for near, far in zip(NEAR_PIXELS, FAR_PIXELS)]
-    kc = (2 if weights_inside_abs else 1) * center
+    kc = 2 * center if weights_inside_abs else center
     # at most 2 * (255 + 255) + 510 + 510 = 2040, with kc = 2 * center
     d_half = (
         2 * (np.abs(center - n1) + np.abs(center - n2)) + np.abs(kc - f1) + np.abs(kc - f2)
@@ -472,21 +477,31 @@ def _iterate_block(
     code |= reduce(np.minimum, d_half) > 2 * th.t2
     code <<= 1
     code |= edge
+    del p3, lines, kc, sim_count, edge  # free what the restore stage does not read
+    # the smallest dtype for 32 * n - 1: uint8 up to 8 blocks, else uint16, as
+    # _drive stacks at most _BAND_PX // 45 blocks (each at least 5 x 9 pixels),
+    # so the code stays below 32 * 728 = 23296
+    code = code.astype(np.min_scalar_type(_CODES * len(code) - 1), copy=False)
+    for j in range(1, len(code)):
+        code[j] += _CODES * j  # a scalar add per block; a broadcast one buffers its operands
 
     _, ne, dis, ns, _, _ = (np.uint8(c) for c in PixelClass)
     cls = classes.take(code)  # about 3x faster than classes[code] on a 32 K-pixel band
     out = center.astype(np.uint8)
     np.copyto(out, avg, casting="unsafe", where=cls == ns)
-    flat, width = padded.ravel(), padded.shape[1]
-    cls, w = cls.ravel(), out.shape[1]
+    del avg
+    flat, width = padded.ravel(), padded.shape[-1]
+    cls, (h, w) = cls.ravel(), out.shape[-2:]
     for label, (tap_rows, tap_cols), restore in (
         (dis, _PAIR_TAPS, _pair_restore),
         (ne, _LINE_TAPS, _line_restore),
     ):
         i = np.flatnonzero(cls == label)
         if i.size:
-            # pixel i has the top-left corner of its 5x5 window at i + 4 * (i // w)
-            out.ravel()[i] = restore(flat[i + 4 * (i // w) + (tap_rows * width + tap_cols)[:, None]])
+            # pixel i, of block i // (h * w), has the top-left corner of its
+            # 5x5 window at i + 4 * (i // w) + 4 * width * (i // (h * w))
+            corner = i + 4 * (i // w + width * (i // (h * w)))
+            out.ravel()[i] = restore(flat[corner + (tap_rows * width + tap_cols)[:, None]])
     return out, code
 
 
@@ -514,57 +529,91 @@ def _pass_stats(bins: list[np.ndarray], cfg: PipelineConfig) -> tuple[list[dict]
     return class_stats, module_stats
 
 
+# pixels per frame-engine band, and at most per kernel call. An int16 plane
+# of a band is then 64 KiB, so a kernel call's working planes, about 0.75 MiB
+# at their traced peak, stay in cache. With int32 planes 2**15 ran fastest,
+# or within noise of the fastest, of 2**13..2**16 on both 1024- and 256-wide
+# frames; with int16 planes 2**14..2**17 ran within noise of each other.
+_BAND_PX = 2**15
+
+
 def _drive(
     chunks: Iterable[np.ndarray], cfg: PipelineConfig, bins: list[np.ndarray]
 ) -> Iterator[np.ndarray]:
     """Run every pass of *cfg* over uint8 row chunks, yielding restored rows.
 
-    Each pass carries the last four padded int16 rows it has seen. An
-    incoming chunk is column-padded and joined below the carry (the first
-    chunk instead gets its top row twice above it), the joined block is
-    restored by one kernel call, and the restored rows go on to the next
-    pass in the same loop. At the end of input each pass in turn gets one
-    more kernel call: the rows the previous pass's flush emitted, with the
-    pass's last input row replicated twice below them. That is the frame's
-    edge padding, so every chunking of an image gives the same output, and
-    a run makes one kernel call per pass per chunk plus one per pass. The
-    rows of that last call leave one at a time, as a row stream expects.
-    One histogram of predicate codes per pass is appended to *bins*, for
-    :func:`_pass_stats`.
+    The passes form a pipeline, like the stages of a hardware chain: on
+    each step pass 0 takes the next chunk, and every later pass the rows
+    the pass before it emitted on the previous step, so every block of a
+    step is known before any of them runs. Each pass carries the last four
+    padded int16 rows it has seen; its incoming rows are column-padded and
+    joined below the carry (the first rows instead get their top row twice
+    above them). Blocks of one shape from consecutive passes are stacked
+    and restored by one kernel call, of at most ``_BAND_PX`` pixels unless
+    one block alone is larger. A one-row stream thus makes about one call
+    per row for up to 49 passes of 128 columns, and each pass holds four
+    carry rows plus one pending chunk and emits its rows three rows behind
+    the pass before it. After the last chunk, pass k takes its end-of-input
+    call k steps later: the rows the pass before it emitted last, with its
+    last input row replicated twice below them. That is the frame's edge
+    padding, so every chunking of an image gives the same output. The rows
+    of the last pass's end-of-input call leave one at a time, as a row
+    stream expects. One histogram of predicate codes per pass is appended
+    to *bins*, for :func:`_pass_stats`.
     """
     schedule = _schedule(cfg)
-    bins += [np.zeros(_CODES, np.int64) for _ in schedule]
-    carries: list[np.ndarray | None] = [None] * len(schedule)
+    passes = len(schedule)
+    tables = np.concatenate([classes for classes, _ in schedule])  # pass k's at 32 * k
+    hist = np.zeros((passes, _CODES), np.int64)
+    bins.extend(hist)  # one row view per pass
+    carries: list[np.ndarray | None] = [None] * passes
+    # the rows each pass takes on the next step; inputs[passes] leave the pipeline
+    inputs: list[np.ndarray | None] = [None] * (passes + 1)
+    group: list[np.ndarray] = []  # the blocks of the next kernel call
+
+    def run(end: int) -> None:
+        """Restore the grouped blocks, of passes end - len(group) .. end - 1, in one call."""
+        n = len(group)
+        batch = np.stack(group) if n > 1 else group[0][None]
+        group.clear()  # so that one copy of the blocks stays alive through the call
+        classes = tables[_CODES * (end - n) : _CODES * end]
+        out, code = _iterate_block(batch, cfg.thresholds, classes, cfg.eq4_literal_weights)
+        hist[end - n : end] += np.bincount(code.ravel(), minlength=_CODES * n).reshape(n, _CODES)
+        inputs[end - n + 1 : end + 1] = out
+
+    ending = -1  # once input has ended, the pass taking its end-of-input call
     cols = None
-    for rows in chain(chunks, [None]):
-        end = rows is None
-        if cols is None:
-            cols = np.clip(np.arange(-2, rows.shape[1] + 2), 0, rows.shape[1] - 1)
-        for k, (classes, _) in enumerate(schedule):
-            carry = carries[k]
-            if rows is None:  # end of input at the first pass
-                block = carry
-            else:
+    for chunk in chain(chunks, repeat(None, passes)):
+        if chunk is None:
+            ending += 1
+        elif cols is None:
+            cols = np.clip(np.arange(-2, chunk.shape[1] + 2), 0, chunk.shape[1] - 1)
+        fed, inputs = inputs, [None] * (passes + 1)
+        fed[0], fed[passes] = chunk, None  # at k = passes, no block: the last group runs
+        for k, rows in enumerate(fed):
+            block = carries[k] if k == ending else None
+            if rows is not None:
                 padded = rows[:, cols]
-                top = padded[[0, 0]] if carry is None else carry
-                block = np.concatenate([top, padded], dtype=np.int16)
-            if end:
+                # the old carry goes with this block: no name keeps it alive
+                block = np.concatenate(
+                    [padded[[0, 0]] if carries[k] is None else carries[k], padded], dtype=np.int16
+                )
+            if k == ending:
                 block = np.concatenate([block, block[[-1, -1]]])
-            carries[k] = block[-4:].copy()  # a view would keep the whole block alive
-            if len(block) < 5:
-                break  # no full window yet, so nothing reaches the later passes
-            rows, code = _iterate_block(block, cfg.thresholds, classes, cfg.eq4_literal_weights)
-            bins[k] += np.bincount(code.ravel(), minlength=_CODES)
-        else:
-            yield from np.split(rows, len(rows)) if end else [rows]
-
-
-# pixels per frame-engine band. An int16 plane of a band is then 64 KiB,
-# so a kernel call's working planes, about 0.75 MiB at their traced peak,
-# stay in cache. With int32 planes 2**15 ran fastest, or within noise of the
-# fastest, of 2**13..2**16 on both 1024- and 256-wide frames; with int16
-# planes 2**14..2**17 ran within noise of each other.
-_BAND_PX = 2**15
+            if block is not None:
+                carries[k] = block[-4:].copy()  # a view would keep the whole block alive
+                if len(block) < 5:
+                    block = None  # no full window yet, so nothing reaches pass k + 1
+            if group and (block is None or block.shape != group[0].shape):
+                run(k)
+            if block is not None:
+                group.append(block)
+                if (len(group) + 1) * block.size > _BAND_PX:
+                    run(k + 1)  # no further block fits
+        rows = inputs[passes]
+        if rows is not None:
+            # a copy, as a view would keep the other passes' rows of its call alive
+            yield from np.split(rows, len(rows)) if ending == passes - 1 else [rows.copy()]
 
 
 def _run(

@@ -3,11 +3,15 @@
 Both engines enter the pass driver through ``pipeline._run``, which
 checks the image; :func:`mrdenoise.pipeline.denoise` asks it for
 cache-sized bands of rows and this engine for one image row per chunk.
-Each pass then holds only the last four padded rows it has seen and
-reads at most two rows ahead of the row it emits, so working memory is
-O(width x passes) rather than O(width x height). Outputs are
-bit-identical to the frame engine because both run the same kernel on
-the same windows under the same pass schedule.
+It runs the passes as a pipeline, like the stages of a hardware
+chain: on each row step every pass works on the row the pass before it
+emitted on the previous step, and one kernel call restores the one-row
+blocks of all passes stacked together. Each pass holds its last four
+padded rows plus one pending row, and emits its rows three rows behind
+the pass before it (the first pass two rows behind its input), so
+working memory is O(width x passes) rather than O(width x height).
+Outputs are bit-identical to the frame engine because both run the same
+kernel on the same windows under the same pass schedule.
 
 Per-stage invocation counts (sorter, the two edge detectors, disorder
 analyzer, noisy-pixel checker, similarity checker, and the three

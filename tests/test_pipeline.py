@@ -201,7 +201,7 @@ class TestTruthTable:
                 t5=int(g.integers(0, 9)),
             )
             block = padded(img).astype(np.int16)
-            _, code = _iterate_block(block, th, _tables(True, False)[0], eq4_literal)
+            _, (code,) = _iterate_block(block[None], th, _tables(True, False)[0], eq4_literal)
             for (r, c), value in np.ndenumerate(code):
                 w5 = block[r : r + 5, c : c + 5].ravel().tolist()
                 w3 = [w5[i] for i in pipeline._W3]
@@ -476,22 +476,23 @@ class TestDenoise:
 
     @pytest.mark.parametrize("iterations", [1, 2, 3, 10])
     def test_kernel_calls_linear_in_passes(self, monkeypatch, iterations):
-        # one kernel call per pass per chunk, plus one end-of-input call per pass
-        calls = 0
+        # one block per pass per chunk, plus one end-of-input block per pass;
+        # a kernel call may stack the blocks of several passes
+        blocks = 0
         kernel = pipeline._iterate_block
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return kernel(*args)
+        def counting(padded, *rest):
+            nonlocal blocks
+            blocks += len(padded)
+            return kernel(padded, *rest)
 
         monkeypatch.setattr(pipeline, "_iterate_block", counting)
         img = random_image(58, 96, 20)
         cfg = PipelineConfig(iterations=iterations)
         for rows in (96, 32):
-            calls = 0
+            blocks = 0
             list(_drive((img[r : r + rows] for r in range(0, 96, rows)), cfg, []))
-            assert calls == iterations * (96 // rows + 1), rows
+            assert blocks == iterations * (96 // rows + 1), rows
 
     def test_locality_radius(self):
         cfg = PipelineConfig()

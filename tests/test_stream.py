@@ -32,9 +32,10 @@ def scalar_oracle(img, cfg, gate_active, skip_npc):
 
 
 class TestRowRing:
-    def test_reads_two_rows_ahead_per_pass(self):
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_reads_three_rows_ahead_per_pass(self, iterations):
         img = random_image(50, 17, 9)
-        cfg = PipelineConfig(iterations=3)
+        cfg = PipelineConfig(iterations=iterations)
         read = 0
 
         def source():
@@ -45,9 +46,10 @@ class TestRowRing:
 
         emitted = []
         for r, rows in enumerate(_drive(source(), cfg, [])):
-            # row r of the last pass needs input rows up to r + 2 per pass
+            # the first pass emits row r once it has read row r + 2; each later
+            # pass takes those rows one step later, so it emits three rows behind
             assert rows.shape[0] == 1
-            assert read == min(img.shape[0], r + 1 + 2 * cfg.iterations)
+            assert read == min(img.shape[0], r + 3 * cfg.iterations)
             emitted.append(rows)
         assert np.array_equal(np.concatenate(emitted), denoise(img, cfg))
 
@@ -182,9 +184,14 @@ class TestStreamStats:
 
 class TestEquivalenceSweep:
     def test_random_shapes_and_configs(self):
+        # up to 12 passes, past the 8 stacked blocks at which a uint8 code
+        # index would wrap, and heights below the stream's lag of about three
+        # rows per pass; both first-pass flags make the first pass's table
+        # differ from the later ones
         g = make_rng(58)
-        for trial in range(12):
-            h = int(g.integers(5, 40))
+        for trial in range(24):
+            iterations = int(g.integers(1, 13))
+            h = int(g.integers(5, 3 * iterations + 9))
             w = int(g.integers(5, 40))
             img = g.integers(0, 256, (h, w), dtype=np.uint8)
             cfg = PipelineConfig(
@@ -195,10 +202,59 @@ class TestEquivalenceSweep:
                     t4=int(g.integers(0, 25)),
                     t5=int(g.integers(0, 9)),
                 ),
-                iterations=int(g.integers(1, 3)),
+                iterations=iterations,
                 iteration1_skips_similarity_gate=bool(g.integers(0, 2)),
+                iteration1_skips_noisy_pixel_check=bool(g.integers(0, 2)),
                 eq4_literal_weights=bool(g.integers(0, 2)),
             )
-            assert np.array_equal(stream_denoise(img, cfg), denoise(img, cfg)), (
-                f"trial {trial}: {h}x{w} {cfg}"
-            )
+            stream_out, *stream_stats = stream_denoise_with_stats(img, cfg)
+            frame_out, *frame_stats = pipeline._run(img, cfg)
+            assert np.array_equal(stream_out, frame_out), f"trial {trial}: {h}x{w} {cfg}"
+            assert stream_stats == frame_stats, f"trial {trial}: {h}x{w} {cfg}"
+
+
+class TestPipelinedCalls:
+    """What the kernel receives: one stacked call per stream step, capped in size."""
+
+    @staticmethod
+    def record(monkeypatch):
+        shapes = []
+        kernel = pipeline._iterate_block
+
+        def recording(padded, *rest):
+            shapes.append(padded.shape)
+            return kernel(padded, *rest)
+
+        monkeypatch.setattr(pipeline, "_iterate_block", recording)
+        return shapes
+
+    def test_stream_makes_about_one_call_per_row(self, monkeypatch):
+        img = random_image(59, 128, 128)
+        cfg = PipelineConfig(iterations=2)
+        expected = denoise(img, cfg)
+        shapes = self.record(monkeypatch)
+        assert np.array_equal(stream_denoise(img, cfg), expected)
+        # one call per pass per output row, as the passes ran one after another, made 252
+        assert len(shapes) <= 128 + 3 * cfg.iterations
+        assert max(n for n, _, _ in shapes) == 2
+
+    def test_cap_splits_a_wide_step(self, monkeypatch):
+        img = random_image(60, 64, 1024)
+        cfg = PipelineConfig(iterations=40)
+        expected = denoise(img, cfg)
+        shapes = self.record(monkeypatch)
+        assert np.array_equal(stream_denoise(img, cfg), expected)
+        for n, rows, cols in shapes:
+            assert n * rows * cols <= max(rows * cols, pipeline._BAND_PX), (n, rows, cols)
+        per_call = pipeline._BAND_PX // (5 * 1028)
+        assert max(n for n, _, _ in shapes) == per_call
+        # uncapped, each of the stream's 64 + 40 steps would stack all its
+        # one-row blocks into one call
+        assert len([s for s in shapes if s[1] == 5]) > 64 + 40
+
+    def test_frame_bands_run_alone(self, monkeypatch):
+        shapes = self.record(monkeypatch)
+        denoise(np.full((1024, 1024), 90, np.uint8), PipelineConfig(iterations=2))
+        # 32-row bands: pass 2 takes each band of pass 1 one step later
+        rows = [34] + [36, 32] + [36, 36] * 30 + [6, 36] + [8]
+        assert shapes == [(1, r, 1028) for r in rows]
