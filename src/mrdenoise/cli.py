@@ -32,11 +32,8 @@ METHODS = {
     "median5": lambda noisy, cfg: median_filter(noisy, 5),
 }
 
-# inject noise kinds: name -> (spec from the parsed flags, injector)
-NOISE_KINDS = {
-    "rvin": (lambda a: NoiseSpec.rvin(a.p, seed=a.seed), inject_rvin),
-    "fvin": (lambda a: NoiseSpec.fvin(a.p1, a.p2, m=a.m, seed=a.seed), inject_fvin),
-}
+# inject noise kinds: name -> injector
+NOISE_KINDS = {"rvin": inject_rvin, "fvin": inject_fvin}
 
 # threshold flags: Thresholds field -> help text
 THRESHOLD_HELP = {
@@ -151,10 +148,10 @@ def _require_output_dirs(*paths) -> None:
 
 
 def _cmd_inject(args) -> int:
-    make_spec, inject = NOISE_KINDS[args.kind]
-    spec = make_spec(args)
+    # NoiseSpec refuses a nonzero flag that the kind does not use
+    spec = NoiseSpec(args.kind, p=args.p, p1=args.p1, p2=args.p2, m=args.m, seed=args.seed)
     _require_output_dirs(args.output, args.mask)
-    noisy, mask = inject(read_pgm(args.input), spec)
+    noisy, mask = NOISE_KINDS[args.kind](read_pgm(args.input), spec)
     write_pgm(args.output, noisy)
     write_mask(args.mask, mask)
     fraction = int(mask.sum()) / mask.size

@@ -1,9 +1,9 @@
 """Seeded impulse-noise injection with ground-truth corruption masks.
 
-Two impulse models are provided: random-valued corruption, which replaces
-a pixel by a uniform draw over the full intensity range, and fixed-valued
-corruption, which replaces a pixel by a value near 0 or near 255 (the
-margin 0 special case is classic salt-and-pepper noise).
+One impulse model: a pixel is replaced with probability ``low`` by a uniform
+draw from [0, m] and with probability ``high`` by one from [255 - m, 255].
+Random-valued noise is the low range alone with m = 255; fixed-valued noise
+sets both (m <= 127; m = 0 is classic salt-and-pepper noise).
 
 Randomness is drawn from ``numpy.random.Generator`` backed by the PCG64
 bit generator. Each pixel consumes exactly two uniform doubles in raster
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import INTENSITY_LEVELS, PEAK, _require_int, as_gray
+from .image import PEAK, _require_int, as_gray
 from .pgm import read_pgm, write_pgm
 
 __all__ = [
@@ -33,12 +33,17 @@ __all__ = [
 ]
 
 
+# noise kind -> the NoiseSpec fields its injector reads
+_USES = {"rvin": ("p",), "fvin": ("p1", "p2", "m")}
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Parameters of an impulse-noise injection.
 
     kind is ``"rvin"`` (random-valued, uses ``p``) or ``"fvin"``
     (fixed-valued, uses ``p1``/``p2``/``m``; total density is p1 + p2).
+    A field its kind does not use must stay zero.
     """
 
     kind: str
@@ -49,8 +54,11 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("rvin", "fvin"):
+        if self.kind not in _USES:
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        for name in ("p", "p1", "p2", "m"):
+            if name not in _USES[self.kind] and getattr(self, name) != 0:
+                raise ValueError(f"{self.kind} noise does not use {name} (it uses {', '.join(_USES[self.kind])})")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         # written so that a NaN probability fails the test
@@ -73,14 +81,23 @@ class NoiseSpec:
 
     @property
     def density(self) -> float:
-        """Total corruption probability."""
-        return self.p if self.kind == "rvin" else self.p1 + self.p2
+        """Total corruption probability (the fields a kind does not use are zero)."""
+        return self.p + self.p1 + self.p2
 
 
-def _draws(spec: NoiseSpec, shape: tuple[int, int]) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
+def _inject(img, seed, low: float, high: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The impulse model of the module docstring; returns ``(noisy, mask)``."""
+    arr = as_gray(img)
     # (h, w, 2) doubles, filled in C order = two draws per pixel, raster order
-    return rng.random(shape + (2,))
+    draws = np.random.Generator(np.random.PCG64(seed)).random(arr.shape + (2,))
+    decision, u = draws[..., 0], draws[..., 1]
+    mask = decision < low + high
+    # floor(s * u) <= s - 1 for every double u < 1 and integer s <= 256, so
+    # with s = m + 1 each offset lies in [0, m] and the uint8 cast is exact
+    offsets = np.multiply(u, m + 1, out=u).astype(np.uint8)
+    # a high-range offset moves up by 255 - m, to at most 255
+    offsets += np.uint8(PEAK - m) * (decision >= low)
+    return np.where(mask, offsets, arr), mask
 
 
 def inject_rvin(img, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -93,14 +110,7 @@ def inject_rvin(img, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     if spec.kind != "rvin":
         raise ValueError(f"inject_rvin requires an rvin spec, got {spec.kind!r}")
-    arr = as_gray(img)
-    draws = _draws(spec, arr.shape)
-    mask = draws[..., 0] < spec.p
-    # floor(u * 256) is exactly uniform over 0..255 for 53-bit doubles
-    values = (draws[..., 1] * INTENSITY_LEVELS).astype(np.int64)
-    np.minimum(values, PEAK, out=values)
-    noisy = np.where(mask, values.astype(np.uint8), arr)
-    return noisy, mask
+    return _inject(img, spec.seed, spec.p, 0.0, PEAK)
 
 
 def inject_fvin(img, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -112,18 +122,7 @@ def inject_fvin(img, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     if spec.kind != "fvin":
         raise ValueError(f"inject_fvin requires an fvin spec, got {spec.kind!r}")
-    arr = as_gray(img)
-    draws = _draws(spec, arr.shape)
-    decision = draws[..., 0]
-    low = decision < spec.p1
-    high = ~low & (decision < spec.p1 + spec.p2)
-    span = spec.m + 1
-    offsets = (draws[..., 1] * span).astype(np.int64)
-    np.minimum(offsets, spec.m, out=offsets)
-    noisy = np.where(
-        low, offsets, np.where(high, PEAK - spec.m + offsets, arr)
-    ).astype(np.uint8)
-    return noisy, low | high
+    return _inject(img, spec.seed, spec.p1, spec.p2, spec.m)
 
 
 def mask_to_gray(mask) -> np.ndarray:

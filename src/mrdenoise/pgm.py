@@ -102,10 +102,9 @@ def write_pgm(path: str | os.PathLike, img, *, ascii_format: bool = False) -> No
     arr = as_gray(img)
     h, w = arr.shape
     if ascii_format:
-        lines = [b"P2", f"{w} {h}".encode(), b"255"]
-        for row in arr:
-            lines.append(" ".join(str(int(v)) for v in row).encode())
-        Path(path).write_bytes(b"\n".join(lines) + b"\n")
+        # one tolist() call yields Python ints, so no numpy scalar is formatted
+        rows = (" ".join(map(str, row)) for row in arr.tolist())
+        Path(path).write_bytes(f"P2\n{w} {h}\n255\n".encode() + "\n".join(rows).encode() + b"\n")
     else:
         # the raster goes out from the array's own buffer, uncopied
         with open(path, "wb") as fh:

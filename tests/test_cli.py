@@ -373,6 +373,11 @@ class TestUsageErrors:
             (("eval", "{c}", "--out", "{o}", "--densities", "0.1,0.2,0.10"), "density 0.1 given twice"),
             (("eval", "{c}", "--out", "{o}", "--methods", "median3,proposed,median3"),
              "method 'median3' given twice"),
+            (("inject", "{in}", "{o}", "{m}", "--kind", "fvin", "--p", "0.3"),
+             "fvin noise does not use p (it uses p1, p2, m)"),
+            (("inject", "{in}", "{o}", "{m}", "--p", "0.1", "--p1", "0.1"), "rvin noise does not use p1 (it uses p)"),
+            (("inject", "{in}", "{o}", "{m}", "--kind", "rvin", "--p2", "0.2"), "rvin noise does not use p2 (it uses p)"),
+            (("inject", "{in}", "{o}", "{m}", "--p", "0.1", "--m", "5"), "rvin noise does not use m (it uses p)"),
         ],
     )
     def test_one_error_line_without_usage(self, tmp_path, sample, capsys, args, message):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import random_image
+from perfbench.phantom import fvin, make_rng, rvin
 
 from mrdenoise import NoiseSpec, inject_fvin, inject_rvin
 
@@ -32,6 +33,13 @@ class TestNoiseSpec:
             dict(kind="fvin", p1=0.1, p2=0.1, m="5"),
             dict(kind="rvin", p=0.1, seed=2.5),
             dict(kind="rvin", p=0.1, seed="3"),
+            # a nonzero field the kind does not use
+            dict(kind="fvin", p=0.3),
+            dict(kind="fvin", p1=0.1, p2=0.1, m=5, p=1e-9),
+            dict(kind="rvin", p=0.1, p1=0.1),
+            dict(kind="rvin", p=0.1, p2=0.2),
+            dict(kind="rvin", p=0.1, m=5),
+            dict(kind="rvin", p=0.1, p1=float("nan")),
         ],
     )
     def test_invalid_specs(self, kwargs):
@@ -149,3 +157,32 @@ class TestFvin:
         img = random_image(9, 17, 26)
         noisy, mask = inject_fvin(img, NoiseSpec.fvin(0.2, 0.2, m=25, seed=6))
         assert np.array_equal(noisy[~mask], img[~mask])
+
+
+class TestExactOutput:
+    """Both injectors against the benchmark's frozen restatement of the model."""
+
+    @pytest.mark.parametrize("trial", range(27))
+    def test_matches_frozen_reference(self, trial):
+        g = make_rng(500 + trial)
+        h, w = (int(n) for n in g.integers(1, 48, size=2))
+        img = g.integers(0, 256, (h, w), dtype=np.uint8)
+        seed = [int(g.integers(0, 2**32)), np.int64(g.integers(0, 2**62)),
+                int(g.integers(2**32, 2**64, dtype=np.uint64))][trial % 3]
+        p = [0.0, 1.0, float(g.random())][trial // 3 % 3]
+        p1 = [0.0, 1.0, 0.5, float(g.random())][trial % 4]
+        p2 = [1.0 - p1, float(g.random()) * (1.0 - p1)][trial // 4 % 2]
+        m = [0, np.int64(127), int(g.integers(0, 128))][trial // 9]
+        decision = make_rng(seed).random((h, w, 2))[..., 0]
+
+        noisy, mask = inject_rvin(img, NoiseSpec.rvin(p, seed=seed))
+        assert noisy.dtype == np.uint8 and noisy.tobytes() == rvin(img, p, seed).tobytes()
+        assert np.array_equal(mask, decision < p)
+        noisy, mask = inject_fvin(img, NoiseSpec.fvin(p1, p2, m=m, seed=seed))
+        assert noisy.dtype == np.uint8 and noisy.tobytes() == fvin(img, p1, p2, m, seed).tobytes()
+        assert np.array_equal(mask, decision < p1 + p2)
+
+    def test_largest_draw_stays_below_every_span(self):
+        # the bound that lets the injector cast floor(s * u) to uint8 unclamped
+        u = np.nextafter(1.0, 0.0)
+        assert all(int(u * s) == s - 1 for s in range(1, 257))

@@ -5,6 +5,7 @@ import pytest
 from conftest import random_image
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from perfbench.phantom import pgm_bytes
 
 from mrdenoise import PgmFormatError, gray_to_mask, mask_to_gray, read_mask, read_pgm, write_mask, write_pgm
 from mrdenoise.pgm import _TOKEN
@@ -104,12 +105,20 @@ class TestRoundtrip:
         write_pgm(path, img)
         assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 10, 20, 255])
 
-
     def test_non_contiguous_binary_roundtrip(self, tmp_path):
         img = random_image(4, 12, 10)
         path = tmp_path / "t.pgm"
         write_pgm(path, img[::-1, ::2].T)
         assert np.array_equal(read_pgm(path), img[::-1, ::2].T)
+
+    @pytest.mark.parametrize("ascii_format", [False, True], ids=["P5", "P2"])
+    def test_bytes_equal_frozen_encoder(self, tmp_path, ascii_format):
+        # the benchmark's independent encoder pins every byte of both formats
+        img = random_image(5, 23, 37)
+        path = tmp_path / "f.pgm"
+        for view in (img, img[::2, ::-3]):
+            write_pgm(path, view, ascii_format=ascii_format)
+            assert path.read_bytes() == pgm_bytes(view, ascii_format)
 
 
 def traced_peak(fn) -> int:
