@@ -56,8 +56,12 @@ class Thresholds:
 
     def __post_init__(self):
         for name in ("t1", "t2", "t3", "t4", "t5"):
-            if _require_int(name, getattr(self, name)) < 0:
+            # stored as a Python int: a numpy integer would carry its dtype into
+            # the kernel's uint8 arithmetic and, under numpy 2, widen it
+            value = _require_int(name, getattr(self, name))
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
+            object.__setattr__(self, name, value)
         if self.t5 > 8:
             raise ValueError("t5 counts 3x3 neighbors and cannot exceed 8")
 

@@ -97,7 +97,9 @@ def _inject(img, seed, low: float, high: float, m: int) -> tuple[np.ndarray, np.
     offsets = np.multiply(u, m + 1, out=u).astype(np.uint8)
     # a high-range offset moves up by 255 - m, to at most 255
     offsets += np.uint8(PEAK - m) * (decision >= low)
-    return np.where(mask, offsets, arr), mask
+    # a uint8 select: offsets - arr wraps modulo 256, and adding it back to arr
+    # wraps to the offset exactly, so each pixel is arr + 0 or the offset
+    return arr + mask * (offsets - arr), mask
 
 
 def inject_rvin(img, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -28,11 +28,14 @@ engine (:func:`denoise`) or one row per chunk for the stream engine
 (:mod:`mrdenoise.stream`); every chunking gives the same result. The
 kernel, :func:`classify` and :func:`median_filter` read one window
 layout: the 25 views of a 2-pixel-padded frame, 3x3 at ``_W3``. The
-driver pads its blocks as int16, wide enough for every value the kernel
-computes. The kernel ranks each 3x3 window with the paper's sorter, here
-a compare-exchange network of ``np.minimum``/``np.maximum`` over whole
-planes pruned to the five ranks the classifiers and filters read, and
-runs each edge-preserve filter only on the pixels of its class. One
+driver carries its blocks as uint8, as an 8-bit datapath would: the
+kernel's dense tests use forms that cannot wrap, and only ``avg`` and the
+taps its sparse stages gather widen to int16. The kernel ranks each 3x3
+window with the paper's sorter, here a compare-exchange network of
+``np.minimum``/``np.maximum`` over whole planes pruned to the five ranks
+the classifiers and filters read. Like the chip, it runs the directional
+(type-2) edge test only on the pixels the sorted-gap test flags, and each
+edge-preserve filter only on the pixels of its class. One
 runner, :func:`_select`, runs every pruned network: the sorter, and for
 :func:`median_filter` the same network pruned to F4 (3x3) and Batcher's
 merge-exchange network pruned to its middle rank (5x5), both on uint8
@@ -48,7 +51,7 @@ import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cache, reduce
+from functools import cache
 from itertools import chain, repeat
 
 import numpy as np
@@ -420,10 +423,50 @@ def _tables(gate_active: bool, skip_npc: bool) -> tuple[np.ndarray, np.ndarray]:
     return classes, runs
 
 
+def _noisy_edge_bits(taps: np.ndarray, weights_inside_abs: bool, limit: int) -> np.ndarray:
+    """Bits 0 and 1 of the code of edge pixels, from columns of the center
+    and its sixteen line taps: 1, plus 2 where :func:`type2_edge` holds."""
+    center, lines = taps[0], taps[1:].reshape(4, 4, -1)  # each line: near, near, far, far
+    d = lines - center
+    if weights_inside_abs:
+        d[:, 2:] -= center  # the far taps against 2 * center
+    np.abs(d, out=d)
+    # at most 2 * (255 + 255) + 510 + 510 = 2040, with the far taps against 2 * center
+    dist = 2 * (d[:, 0] + d[:, 1]) + d[:, 2] + d[:, 3]
+    return (dist.min(axis=0) > limit) * np.uint8(2) + np.uint8(1)
+
+
+# the center, then the sixteen line taps in _LINE_TAPS order
+_DIST_TAPS = tuple(np.concatenate([[2], taps]) for taps in _LINE_TAPS)
+
+# pixels per slice of a sparse stage: its gather index is an intp array of up
+# to 17 taps per pixel, 136 bytes each, so a slice's working set stays below
+# about 0.6 MiB whatever the share of pixels a class takes
+_SLICE_PX = 2**12
+
+
+def _sparse(dest: np.ndarray, i: np.ndarray, padded: np.ndarray, taps, compute, *args) -> None:
+    """``dest.flat[i] = compute(t, *args)``, where column k of the int16 array t
+    holds the *taps* (rows, columns in the 5x5 window) of pixel ``i[k]``.
+
+    *dest* is a contiguous stack of the blocks of *padded*, without the pad.
+    Gathers, computes and scatters in slices of at most ``_SLICE_PX`` pixels.
+    """
+    flat, width = padded.ravel(), padded.shape[-1]
+    (h, w), out = dest.shape[-2:], dest.ravel()
+    offsets = (taps[0] * width + taps[1])[:, None]
+    for start in range(0, i.size, _SLICE_PX):
+        j = i[start : start + _SLICE_PX]
+        # pixel j, of block j // (h * w), has the top-left corner of its 5x5
+        # window at j + 4 * (j // w) + 4 * width * (j // (h * w))
+        corner = j + 4 * (j // w + width * (j // (h * w)))
+        out[j] = compute(flat[corner + offsets].astype(np.int16), *args)
+
+
 def _iterate_block(
     padded: np.ndarray, th: Thresholds, classes: np.ndarray, weights_inside_abs: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized classify + restore over a stack of padded int16 blocks.
+    """Vectorized classify + restore over a stack of padded uint8 blocks.
 
     *padded* stacks n blocks of one shape on its leading axis, one per
     pass, and ``classes[32 * j : 32 * j + 32]`` is block j's table from
@@ -431,53 +474,59 @@ def _iterate_block(
     (uint8, or uint16 past 8 blocks): each pixel's five predicate bits
     (bit 0 edge, 1 noisy edge, 2 similar, 3 disordered, 4 candidate) plus
     ``32 * j``, so that one lookup classifies every block and one
-    histogram counts them. Each predicate is folded into the code from
-    bit 4 down. The nine 3x3 window
-    planes go through the sorter network, which yields only the five
-    ranks the classifiers and filters read. Each edge-preserve filter
-    gathers the taps it reads for the pixels of its class only, computes
-    on those columns and scatters the results. All arithmetic is exact
-    integer work mirroring the scalar stage functions, and no value leaves
-    int16 (each bound is written beside its code). Each filter selects its
-    candidate as the scalar functions do (first minimum in H, V, D, AD
-    order), so frame and stream outputs agree bit for bit.
+    histogram counts them. The nine 3x3 window planes go through the
+    sorter network, which yields only the five ranks the classifiers and
+    filters read, and every dense test runs on uint8 in forms that cannot
+    wrap; only ``avg`` widens to int16. The noisy-edge bit is a don't-care
+    off edges (no class reads it there), so it is computed on edge pixels
+    only, and each edge-preserve filter on the pixels of its class only:
+    each of these sparse stages gathers its taps as int16 columns through
+    :func:`_sparse`. All arithmetic is exact integer work mirroring the
+    scalar stage functions (each bound is written beside its code). Each
+    filter selects its candidate as the scalar functions do (first minimum
+    in H, V, D, AD order), so frame and stream outputs agree bit for bit.
     """
     p3 = _window_planes(padded, _W3)
     center = p3[4]
     f0, f3, f4, f5, f8 = _select(p3, _SORTER, _SORTER_RANKS)
+    # thresholds clamped to 255, the largest uint8 difference: x > t and x <= t
+    # answer alike for every t >= 255; the one x < t test argues its bound
+    t1, t3, t4 = (min(t, 255) for t in (th.t1, th.t3, th.t4))
 
-    # sorted gaps, f8 - center and center - f0 are non-negative by construction;
-    # the candidate test's bool plane becomes the code, shifted up to bit 4
-    code = ((f8 - center < th.t4) | (center - f0 < th.t4)).view(np.uint8)
+    # f8 - center and center - f0 are non-negative and sum to f8 - f0 <= 255, so
+    # one of them is below 128 and the test holds for every t4 >= 128; the
+    # candidate test's bool plane becomes the code, shifted up to bit 4
+    code = ((f8 - center < t4) | (center - f0 < t4)).view(np.uint8)
     code <<= 1
-    code |= (
-        (np.abs(f5 - center) > th.t3)
-        & (np.abs(center - f3) > th.t3)
-        & (np.abs(center - f4) > th.t3)
-    )
+    # the center is a window value, so between f3 and f5 it equals f3, f4 or
+    # f5 and one of the scalar test's distances is 0; outside, the nearer of
+    # f3 and f5 is the closest of the three
+    code |= ((np.maximum(center, f5) - f5 > t3) | (f3 - np.minimum(center, f3) > t3)).view(np.uint8)
+    # |p - center| <= t4 exactly when p lies in [lo, lo + span], the range
+    # clipped to [0, 255]: max(center, t4) - t4 and min(center, 255 - t4) + t4
+    # cannot wrap, and p - lo wraps above span when p < lo
+    lo = np.maximum(center, t4) - t4
+    span = np.minimum(center, 255 - t4) + t4 - lo
     sim_count = np.zeros(center.shape, np.uint8)  # at most 8
     for i in (0, 1, 2, 3, 5, 6, 7, 8):
-        sim_count += np.abs(p3[i] - center) <= th.t4
+        sim_count += (p3[i] - lo <= span).view(np.uint8)
     code <<= 1
-    code |= sim_count >= th.t5
-    # bit 0, folded in last; one bool plane through the 5x5 stage where
-    # the edge test's three sorted planes would be int16
-    edge = (f4 - f3 > th.t1) | (f5 - f4 > th.t1)
-    avg = (f3 + f4 + f5 + 1) // 3  # the sum is at most 3 * 255 + 1 = 766
-    del f0, f3, f4, f5, f8  # free the sorted planes before the 5x5 stage
+    code |= (sim_count >= th.t5).view(np.uint8)
+    edge = (f4 - f3 > t1) | (f5 - f4 > t1)  # sorted gaps: non-negative
+    avg = np.add(f3, f4, dtype=np.int16)
+    avg += f5
+    avg += 1
+    avg //= 3  # the sum is at most 3 * 255 + 1 = 766
+    del p3, f0, f3, f4, f5, f8, lo, span, sim_count  # free what the sparse stages do not read
 
-    lines = [_window_planes(padded, near + far) for near, far in zip(NEAR_PIXELS, FAR_PIXELS)]
-    kc = 2 * center if weights_inside_abs else center
-    # at most 2 * (255 + 255) + 510 + 510 = 2040, with kc = 2 * center
-    d_half = (
-        2 * (np.abs(center - n1) + np.abs(center - n2)) + np.abs(kc - f1) + np.abs(kc - f2)
-        for n1, n2, f1, f2 in lines
-    )
-    code <<= 1
-    code |= reduce(np.minimum, d_half) > 2 * th.t2
-    code <<= 1
+    # bits 0 and 1, on edge pixels; the distance is at most 2040, so every
+    # t2 >= 1020 makes the test false, as 2 * t2 clamped to 2040 does
+    limit = min(2 * th.t2, 2040)
+    i, edge = np.flatnonzero(edge), edge.view(np.uint8)  # flatnonzero runs ~10x faster on bool
+    _sparse(edge, i, padded, _DIST_TAPS, _noisy_edge_bits, weights_inside_abs, limit)
+    code <<= 2
     code |= edge
-    del p3, lines, kc, sim_count, edge  # free what the restore stage does not read
+    del edge
     # the smallest dtype for 32 * n - 1: uint8 up to 8 blocks, else uint16, as
     # _drive stacks at most _BAND_PX // 45 blocks (each at least 5 x 9 pixels),
     # so the code stays below 32 * 728 = 23296
@@ -487,21 +536,12 @@ def _iterate_block(
 
     _, ne, dis, ns, _, _ = (np.uint8(c) for c in PixelClass)
     cls = classes.take(code)  # about 3x faster than classes[code] on a 32 K-pixel band
-    out = center.astype(np.uint8)
+    out = center.copy()
     np.copyto(out, avg, casting="unsafe", where=cls == ns)
     del avg
-    flat, width = padded.ravel(), padded.shape[-1]
-    cls, (h, w) = cls.ravel(), out.shape[-2:]
-    for label, (tap_rows, tap_cols), restore in (
-        (dis, _PAIR_TAPS, _pair_restore),
-        (ne, _LINE_TAPS, _line_restore),
-    ):
-        i = np.flatnonzero(cls == label)
-        if i.size:
-            # pixel i, of block i // (h * w), has the top-left corner of its
-            # 5x5 window at i + 4 * (i // w) + 4 * width * (i // (h * w))
-            corner = i + 4 * (i // w + width * (i // (h * w)))
-            out.ravel()[i] = restore(flat[corner + (tap_rows * width + tap_cols)[:, None]])
+    cls = cls.ravel()
+    _sparse(out, np.flatnonzero(cls == dis), padded, _PAIR_TAPS, _pair_restore)
+    _sparse(out, np.flatnonzero(cls == ne), padded, _LINE_TAPS, _line_restore)
     return out, code
 
 
@@ -529,11 +569,12 @@ def _pass_stats(bins: list[np.ndarray], cfg: PipelineConfig) -> tuple[list[dict]
     return class_stats, module_stats
 
 
-# pixels per frame-engine band, and at most per kernel call. An int16 plane
-# of a band is then 64 KiB, so a kernel call's working planes, about 0.75 MiB
-# at their traced peak, stay in cache. With int32 planes 2**15 ran fastest,
-# or within noise of the fastest, of 2**13..2**16 on both 1024- and 256-wide
-# frames; with int16 planes 2**14..2**17 ran within noise of each other.
+# pixels per frame-engine band, and at most per kernel call. A uint8 plane
+# of a band is then 32 KiB, so a kernel call's working planes stay in cache.
+# On int32 and int16 planes 2**15 ran fastest, or within noise of it, on
+# 1024- and 256-wide frames. On uint8 planes 2**16 ran 15 % faster on a
+# 1024-wide frame, but it puts a 256-wide frame in one band, whose traced
+# peak is then as high as the int16 kernel's.
 _BAND_PX = 2**15
 
 
@@ -546,7 +587,7 @@ def _drive(
     each step pass 0 takes the next chunk, and every later pass the rows
     the pass before it emitted on the previous step, so every block of a
     step is known before any of them runs. Each pass carries the last four
-    padded int16 rows it has seen; its incoming rows are column-padded and
+    padded uint8 rows it has seen; its incoming rows are column-padded and
     joined below the carry (the first rows instead get their top row twice
     above them). Blocks of one shape from consecutive passes are stacked
     and restored by one kernel call, of at most ``_BAND_PX`` pixels unless
@@ -595,9 +636,7 @@ def _drive(
             if rows is not None:
                 padded = rows[:, cols]
                 # the old carry goes with this block: no name keeps it alive
-                block = np.concatenate(
-                    [padded[[0, 0]] if carries[k] is None else carries[k], padded], dtype=np.int16
-                )
+                block = np.concatenate([padded[[0, 0]] if carries[k] is None else carries[k], padded])
             if k == ending:
                 block = np.concatenate([block, block[[-1, -1]]])
             if block is not None:

@@ -46,6 +46,12 @@ class TestThresholds:
             Thresholds(**kwargs)
 
 
+    def test_numpy_integers_stored_as_int(self):
+        th = Thresholds(np.int64(20), np.int16(150), np.uint8(30), np.int64(10), np.uint8(6))
+        assert [type(getattr(th, n)) for n in ("t1", "t2", "t3", "t4", "t5")] == [int] * 5
+        assert th == Thresholds()
+
+
 class TestType1Edge:
     def test_uniform_is_non_edge(self):
         assert not type1_edge([100] * 9, 20)

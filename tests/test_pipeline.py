@@ -1,3 +1,4 @@
+import itertools
 import sys
 import tracemalloc
 
@@ -200,20 +201,79 @@ class TestTruthTable:
                 t4=int(g.integers(0, 30)),
                 t5=int(g.integers(0, 9)),
             )
-            block = padded(img).astype(np.int16)
+            block = padded(img)
             _, (code,) = _iterate_block(block[None], th, _tables(True, False)[0], eq4_literal)
             for (r, c), value in np.ndenumerate(code):
                 w5 = block[r : r + 5, c : c + 5].ravel().tolist()
                 w3 = [w5[i] for i in pipeline._W3]
                 f = sorted(w3)
+                edge = type1_edge(f, th.t1)
                 bits = (
-                    type1_edge(f, th.t1),
-                    type2_edge(w5, th.t2, weights_inside_abs=eq4_literal),
+                    edge,
+                    # a don't-care off edges: the kernel computes it on edges only
+                    type2_edge(w5, th.t2, weights_inside_abs=eq4_literal) if edge else value >> 1 & 1,
                     similarity(w3, th.t4, th.t5),
                     disorder(w3[4], f, th.t3),
                     noisy_pixel(w3[4], f, th.t4),
                 )
                 assert value == sum(b << i for i, b in enumerate(bits)), (trial, r, c)
+
+
+# thresholds at and around the uint8 range, where the kernel's clamps act
+EXTREMES = (0, 127, 128, 255, 256, 10**6)
+
+
+class TestThresholdExtremes:
+    """The uint8 front half against the scalar specification, pixel by pixel,
+    with t1..t4 at every combination of ``EXTREMES``."""
+
+    @staticmethod
+    def image(seed: int) -> np.ndarray:
+        # 0 and 255 beside mid values, alone and in runs
+        g = make_rng(seed)
+        img = g.choice(np.array([0, 1, 127, 128, 254, 255], np.uint8), (9, 11))
+        mid = g.random(img.shape) < 0.3
+        img[mid] = g.integers(2, 254, np.count_nonzero(mid))
+        img[:3, :3] = 0
+        img[1, 1] = 255
+        return img
+
+    # numpy integers pass Thresholds' checks too; under numpy 2 (NEP 50) one
+    # kept as np.int64 would widen the kernel's uint8 bounds to int64 planes
+    @pytest.mark.parametrize("integer", [int, np.int64])
+    @pytest.mark.parametrize("eq4_literal", [False, True])
+    def test_kernel_matches_scalar_spec(self, eq4_literal, integer):
+        blocks, windows = [], []
+        for seed in (4700, 4701):
+            block = padded(self.image(seed))
+            blocks.append(block)
+            w5s = [block[r : r + 5, c : c + 5].ravel().tolist() for r, c in np.ndindex(9, 11)]
+            windows.append([(w5, [w5[i] for i in pipeline._W3]) for w5 in w5s])
+        seen = dict.fromkeys(PixelClass, 0)
+        for n, (t1, t2, t3, t4) in enumerate(itertools.product(EXTREMES, repeat=4)):
+            th = Thresholds(*map(integer, (t1, t2, t3, t4, n % 9)))
+            gate_active = n % 4 < 2
+            classes, runs = _tables(gate_active, False)
+            block, pixels = blocks[n % 2], windows[n % 2]
+            out, (code,) = _iterate_block(block[None], th, classes, eq4_literal)
+            counters = dict.fromkeys(MODULE_NAMES, 0)
+            for (w5, w3), cls, value in zip(pixels, classes[code].ravel(), out.ravel()):
+                f = sorted(w3)
+                counters["sorter"] += 1
+                expected = classify_window(
+                    w3,
+                    w5,
+                    f,
+                    th,
+                    gate_active=gate_active,
+                    weights_inside_abs=eq4_literal,
+                    counters=counters,
+                )
+                assert cls == expected, (th, w5)
+                assert value == restore_pixel(expected, w3, w5, f, counters), (th, w5)
+                seen[expected] += 1
+            assert list(counters.values()) == runs[code.ravel()].sum(axis=0).tolist(), th
+        assert all(seen.values()), seen
 
 
 class TestSorter:
@@ -390,10 +450,11 @@ class TestDenoise:
     @pytest.mark.parametrize("eq4_literal", [False, True])
     @pytest.mark.parametrize("t2", [0, 509, 764, 1020, 2040])
     def test_black_white_images_match_scalar_oracle(self, t2, eq4_literal):
-        # images of only 0 and 255 drive the int16 directional distance and
-        # line spread to their written bounds (2040 each; 1530 for the
-        # distance without eq4-literal). The noisy-edge test compares the
-        # distance with 2 * t2 on edge pixels only, where it is at most 1020
+        # images of only 0 and 255 drive the directional distance and line
+        # spread, computed on gathered int16 taps, to their written bounds
+        # (2040 each; 1530 for the distance without eq4-literal). The
+        # kernel computes the distance on edge pixels only, and compares it
+        # with 2 * t2 there, where it is at most 1020
         # (1530 with eq4-literal): t2 = 509 and 764 sit just below those.
         # t5 = 3 makes such edges similar, so that test decides their class.
         g = make_rng(4600)
@@ -524,21 +585,34 @@ class TestDenoise:
 
 
 class TestMemory:
-    def test_pass_peak_within_plane_budget(self):
-        # one pass on a 256x256 frame may hold at most 6 int32 planes of
-        # the 2-pixel-padded 260x260 frame at once (about 1.5 MiB); it holds
-        # about 3.7 on int16 blocks
-        noisy, _ = inject_rvin(synthetic_mr_slice(3), NoiseSpec.rvin(0.20, seed=7))
+    @staticmethod
+    def check_pass_peak(img) -> dict:
+        """Check that one pass on a 256x256 frame holds at most 6 int32 planes
+        of the 2-pixel-padded 260x260 frame at once (about 1.5 MiB); returns
+        the pass's class counts."""
         cfg = PipelineConfig(iterations=1)
-        denoise_with_stats(noisy, cfg)  # warm up lazy imports and caches
+        denoise_with_stats(img, cfg)  # warm up lazy imports and caches
         tracemalloc.start()
         try:
-            denoise_with_stats(noisy, cfg)
+            _, (counts,) = denoise_with_stats(img, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         plane = 260 * 260 * np.dtype(np.int32).itemsize
         assert peak <= 6 * plane, f"peak {peak / plane:.1f} planes"
+        return counts
+
+    def test_pass_peak_within_plane_budget(self):
+        # about 2.4 planes on uint8 blocks
+        self.check_pass_peak(inject_rvin(synthetic_mr_slice(3), NoiseSpec.rvin(0.20, seed=7))[0])
+
+    def test_edge_heavy_pass_peak_within_plane_budget(self):
+        # on a uniform random frame the sparse stages run on most pixels: the
+        # directional distance on every edge and the line filter on every
+        # NoisyEdge. Their bounded slices hold the pass to about 4.5 planes,
+        # where gathering each stage's taps for all its pixels at once took 16.6
+        counts = self.check_pass_peak(random_image(4800, 256, 256))
+        assert counts[PixelClass.NOISY_EDGE] > 256 * 256 // 2
 
     def test_banded_frame_peak_within_four_images(self):
         # the frame engine holds one band's planes at a time, so a two-pass
