@@ -95,8 +95,10 @@ def _inject(img, seed, low: float, high: float, m: int) -> tuple[np.ndarray, np.
     # floor(s * u) <= s - 1 for every double u < 1 and integer s <= 256, so
     # with s = m + 1 each offset lies in [0, m] and the uint8 cast is exact
     offsets = np.multiply(u, m + 1, out=u).astype(np.uint8)
-    # a high-range offset moves up by 255 - m, to at most 255
-    offsets += np.uint8(PEAK - m) * (decision >= low)
+    # a high-range offset moves up by 255 - m, to at most 255; for m = 255
+    # (RVIN) that shift is 0 on every pixel, so it is skipped
+    if m != PEAK:
+        offsets += np.uint8(PEAK - m) * (decision >= low)
     # a uint8 select: offsets - arr wraps modulo 256, and adding it back to arr
     # wraps to the offset exactly, so each pixel is arr + 0 or the offset
     return arr + mask * (offsets - arr), mask

@@ -1,14 +1,18 @@
+import os
+import sys
+import threading
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
 from conftest import random_image
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from perfbench.phantom import pgm_bytes
+from perfbench.phantom import pgm_bytes, rvin, synthetic_mr_slice
 
-from mrdenoise import PgmFormatError, gray_to_mask, mask_to_gray, read_mask, read_pgm, write_mask, write_pgm
-from mrdenoise.pgm import _TOKEN
+from mrdenoise import PgmFormatError, gray_to_mask, mask_to_gray, pgm, read_mask, read_pgm, write_mask, write_pgm
+from mrdenoise.pgm import _TOKEN, _header_int
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -39,6 +43,57 @@ class OracleScanner:
             j += 1
         self.pos = j
         return data[i:j]
+
+
+def oracle_read(data: bytes) -> np.ndarray:
+    """The whole-file reader the chunked one replaced, kept as its reference.
+
+    It tokenizes the whole file with ``_TOKEN``, drops a sample that is not
+    all ASCII digits, and lets ``int()`` and ``bytearray`` judge the rest.
+    """
+    tokens = (m for m in _TOKEN.finditer(data) if m[1] is not None)
+    first = next(tokens, None)
+    if (first[1] if first else b"") not in (b"P5", b"P2"):
+        raise PgmFormatError("magic")
+    width, _ = _header_int(tokens, "width")
+    height, _ = _header_int(tokens, "height")
+    if width < 1 or height < 1:
+        raise PgmFormatError("dimensions")
+    maxval, pos = _header_int(tokens, "maxval")
+    if maxval != 255:
+        raise PgmFormatError("maxval")
+    count = width * height
+    if first[1] == b"P5":
+        if pos >= len(data) or data[pos] not in _WHITESPACE or len(data) - pos - 1 != count:
+            raise PgmFormatError("raster")
+        return np.frombuffer(data, np.uint8, count, offset=pos + 1).reshape(height, width)
+    samples = filter(bytes.isdigit, (m[1] for m in islice(tokens, count)))
+    try:
+        values = bytearray(map(int, samples))
+    except ValueError as exc:
+        raise PgmFormatError(str(exc)) from None
+    if len(values) < count or next(tokens, None) is not None:
+        raise PgmFormatError("count")
+    return np.frombuffer(values, dtype=np.uint8).reshape(height, width)
+
+
+def assert_reads_like_oracle(path, data: bytes, chunk: int) -> None:
+    """``read_pgm`` with *chunk*-byte reads returns the oracle's array, or both raise."""
+    path.write_bytes(data)
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pgm, "_CHUNK", chunk)
+        for read in (oracle_read, lambda _: read_pgm(path)):
+            try:
+                results.append(read(data))
+            except PgmFormatError:
+                results.append(None)
+    expected, got = results
+    if expected is None or got is None:
+        assert expected is got, f"oracle {expected!r}, read_pgm {got!r} on {data!r}"
+    else:
+        assert got.dtype == np.uint8 and got.shape == expected.shape
+        assert np.array_equal(got, expected), data
 
 
 # bytes that matter to the tokenizer, plus a few that do not
@@ -143,9 +198,30 @@ class TestBinaryMemory:
         img = random_image(6, 512, 512)
         path = tmp_path / "r.pgm"
         write_pgm(path, img)
-        # the file bytes and the returned image, nothing in between
+        # the returned image and the first chunk read, no copy of the file
         peak = traced_peak(lambda: read_pgm(path))
-        assert peak <= 2.5 * img.nbytes, f"peak {peak / img.nbytes:.2f} images"
+        assert peak <= 1.5 * img.nbytes, f"peak {peak / img.nbytes:.2f} images"
+
+
+class TestAsciiMemory:
+    """A P2 read holds the image and one chunk's scan, never the whole file."""
+
+    def test_read_holds_no_copy_of_file(self, tmp_path):
+        img = random_image(6, 512, 512)
+        path = tmp_path / "r.pgm"
+        write_pgm(path, img, ascii_format=True)
+        # the file is about 3.6 images long
+        peak = traced_peak(lambda: read_pgm(path))
+        assert peak <= 1.5 * img.nbytes + 16 * 1024, f"peak {peak / img.nbytes:.2f} images"
+
+    def test_stream_sized_read_peak(self, tmp_path):
+        # a 128x128 RVIN 20 % phantom, the benchmark's stream-128-p2 input size;
+        # the whole-file reader peaked at 76-78 KB on it
+        img = rvin(synthetic_mr_slice(3, 128), 0.2, 3)
+        path = tmp_path / "s.pgm"
+        path.write_bytes(pgm_bytes(img, ascii_format=True))
+        peak = traced_peak(lambda: read_pgm(path))
+        assert peak <= 76_000, f"peak {peak} bytes"
 
 
 class TestReader:
@@ -193,6 +269,19 @@ class TestReader:
         with pytest.raises(PgmFormatError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("ascii_format", [False, True], ids=["P5", "P2"])
+    def test_reads_from_a_pipe(self, tmp_path, ascii_format):
+        # a pipe has no size to bound the raster by; it is read whole
+        img = random_image(8, 9, 11)
+        fifo = tmp_path / "p.pgm"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(pgm_bytes(img, ascii_format),))
+        writer.start()
+        try:
+            assert np.array_equal(read_pgm(fifo), img)
+        finally:
+            writer.join()
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_pgm(tmp_path / "absent.pgm")
@@ -220,14 +309,90 @@ class TestTokenizer:
             read_pgm(path)
 
     @settings(max_examples=300, deadline=None)
-    @given(mutated_pgm())
-    def test_mutated_files_parse_or_raise_format_error(self, fuzz_path, data):
-        fuzz_path.write_bytes(data)
-        try:
-            img = read_pgm(fuzz_path)
-        except PgmFormatError:
-            return
-        assert img.dtype == np.uint8 and img.ndim == 2 and img.size >= 1
+    @given(mutated_pgm(), st.integers(1, 8))
+    def test_mutated_files_parse_or_raise_format_error(self, fuzz_path, data, chunk):
+        # any other exception fails; headers and P5 rasters are cut at
+        # every chunk size too
+        assert_reads_like_oracle(fuzz_path, data, chunk)
+
+
+# P2 samples in the spellings that decide acceptance: plain, zero-padded,
+# out of range, not digits, and a ``#`` inside or right after a token
+_SAMPLES = st.one_of(
+    st.integers(0, 255).map(b"%d".__mod__),
+    st.sampled_from(
+        [b"0003", b"0255", b"000", b"0" * 9, b"0" * 7 + b"42", b"256", b"999", b"0999",
+         b"1000", b"00256", b"12#3", b"0#c", b"+5", b"-0", b"x", b"#"]
+    ),
+)
+# separators, comments among them; a comment needs whitespace before it
+_SEPARATORS = st.sampled_from(
+    [b" ", b"\n", b"\r\n", b"\r", b"\t", b"\x0b\x0c", b"  \n ", b" # c\n", b"\n#0 1\r\n",
+     b"\r\n# 12#3 x\r", b"#\n"]
+)
+
+
+@st.composite
+def ascii_pgm(draw):
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    # too few, exact or too many samples
+    n = width * height + draw(st.sampled_from([-1, 0, 0, 0, 1]))
+    tokens = [b"P2", b"%d" % width, b"%d" % height, b"255", *draw(st.lists(_SAMPLES, min_size=n, max_size=n))]
+    data = b"".join(tok + draw(_SEPARATORS) for tok in tokens)
+    # the last sample may end the file
+    return data.rstrip(_WHITESPACE) if draw(st.booleans()) else data
+
+
+_ASCII_CASES = [
+    b"P2\n3 2\n255\n0 9 10\n32 35 255\n",
+    b"P2 2 2 255 1 # x\n2 #y\r\n3\r\n4",
+    b"P2\r\n2 2\r\n255\r\n0003 0255\r\n000000 0\r\n",
+    b"P2 1 1 255 " + b"0" * 40 + b"7\n",
+    b"P2 1 1 255 256\n",
+    b"P2 1 1 255 999\n",
+    b"P2 1 1 255 1000\n",
+    b"P2 1 1 255 0000256\n",
+    b"P2 1 1 255 12#3\n",
+    b"P2 1 1 255 0#c\n",
+    b"P2 2 1 255 0 #c\n7",
+    b"P2 2 1 255 7",
+    b"P2 2 1 255 7 8 9",
+    b"P2 2 1 255 7 8 #9\n",
+    b"P2 2 1 255 7 8 #9\r9",
+    b"P2 2 1 255 7 8\x0c#9",
+    b"P2 1 1 255\n#c\n\n5 # only comments follow\n# and more\n",
+]
+
+
+class TestChunkedAscii:
+    """The chunked P2 parser accepts and returns exactly what the whole-file oracle does."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 4096])
+    @pytest.mark.parametrize("data", _ASCII_CASES)
+    def test_cases_match_oracle(self, fuzz_path, data, chunk):
+        assert_reads_like_oracle(fuzz_path, data, chunk)
+
+    @settings(max_examples=400, deadline=None)
+    @given(ascii_pgm(), st.integers(1, 8))
+    def test_generated_files_match_oracle(self, fuzz_path, data, chunk):
+        assert_reads_like_oracle(fuzz_path, data, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("zeros", [-1, 0], ids=["at_limit", "over_limit"])
+    def test_zero_padding_up_to_int_digit_limit(self, fuzz_path, chunk, zeros):
+        # int() refuses a number longer than Python's digit limit, zero
+        # padding included (with no limit set, both readers take it)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        data = b"P2 1 1 255 " + b"0" * (limit + zeros) + b"7\n"
+        assert_reads_like_oracle(fuzz_path, data, chunk)
+
+    def test_fills_each_chunk_in_raster_order(self, tmp_path):
+        img = random_image(7, 40, 50)
+        path = tmp_path / "a.pgm"
+        write_pgm(path, img, ascii_format=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pgm, "_CHUNK", 13)
+            assert np.array_equal(read_pgm(path), img)
 
 
 class TestMaskSerialization:
