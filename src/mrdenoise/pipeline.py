@@ -33,16 +33,20 @@ kernel's dense tests use forms that cannot wrap, and only ``avg`` and the
 taps its sparse stages gather widen to int16. The kernel ranks each 3x3
 window with the paper's sorter, here a compare-exchange network of
 ``np.minimum``/``np.maximum`` over whole planes pruned to the five ranks
-the classifiers and filters read. Like the chip, it runs the directional
-(type-2) edge test only on the pixels the sorted-gap test flags, and each
-edge-preserve filter only on the pixels of its class. One
-runner, :func:`_select`, runs every pruned network: the sorter, and for
+the classifiers and filters read. Like the chip, whose type-2 edge
+detector and filter share one wiring of the 5x5 window's four direction
+lines, one fused stage gathers those taps once, on the pixels the
+sorted-gap test flags, for both the directional edge test and the line
+filter; the pair filter runs on ``Disordered`` pixels only. Each filter
+picks its direction with one ``min`` over packed keys, which break ties
+toward the first direction in H, V, D, AD order, as
+:mod:`mrdenoise.restore` does. One runner,
+:func:`_select`, runs every pruned network: the sorter, and for
 :func:`median_filter` the same network pruned to F4 (3x3) and Batcher's
 merge-exchange network pruned to its middle rank (5x5), both on uint8
-views in the frame engine's row bands. In the first pass
-of the default schedule the candidate rescue is bypassed (heavy noise
-makes neighbor similarity meaningless), so candidates are smoothed
-unconditionally.
+views in the frame engine's row bands. In the first pass of the default
+schedule the candidate rescue is bypassed (heavy noise makes neighbor
+similarity meaningless), so candidates are smoothed unconditionally.
 """
 
 from __future__ import annotations
@@ -253,42 +257,60 @@ def restore_pixel(pixel_class: PixelClass, w3, w5, f, counters: dict | None = No
     return int(w3[4])
 
 
-def _first_min(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Per pixel, the value paired with the smallest key; the first minimum wins ties.
-
-    The compare-and-select chain of the scalar edge-preserve filters: a
-    strictly smaller key replaces the best so far.
-    """
-    pairs = iter(pairs)
-    best_key, best = next(pairs)
-    for key, value in pairs:
-        take = key < best_key
-        best_key = np.where(take, key, best_key)
-        best = np.where(take, value, best)
-    return best
-
-
-# rows and columns, in the 5x5 window, of the taps each edge-preserve filter
-# reads: the 3x3 pairs of type1_edge_preserve in _PAIRS order, and the four
-# pixels of each direction line of type2_edge_preserve in H, V, D, AD order
+# rows and columns, in the 5x5 window, of the taps each sparse stage reads:
+# the 3x3 pairs of type1_edge_preserve in _PAIRS order, and for the edge
+# stage the center, then the four pixels of each direction line of
+# type2_edge_preserve in H, V, D, AD order, each near, near, far, far
 _PAIR_TAPS = np.divmod(np.take(_W3, _PAIRS).ravel(), 5)
-_LINE_TAPS = np.divmod(np.ravel([near + far for near, far in zip(NEAR_PIXELS, FAR_PIXELS)]), 5)
+_EDGE_TAPS = np.divmod(
+    [12, *chain.from_iterable(near + far for near, far in zip(NEAR_PIXELS, FAR_PIXELS))], 5
+)
+
+# each direction's index, H, V, D, AD, at bits 8 and 9 of its packed key
+_DIRECTIONS = (np.arange(4, dtype=np.int32) << 8)[:, None]
+
+
+def _packed_min(key: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Per column, the *value* of the direction with the smallest *key*; the
+    first direction wins ties, as in the scalar edge-preserve filters.
+
+    *key* is a (4, n) int32 array below 2**21, which is written over, and
+    *value* a (4, n) array below 256. One ``min`` over ``key << 10 |
+    direction << 8 | value`` orders by key, then by direction, and its low
+    byte is the value.
+    """
+    key <<= 10
+    key |= _DIRECTIONS
+    key |= value
+    return key.min(axis=0) & 255
 
 
 def _pair_restore(taps: np.ndarray) -> np.ndarray:
-    """:func:`type1_edge_preserve` over columns of eight taps, two per pair."""
+    """:func:`type1_edge_preserve` over int16 columns of eight taps, two per pair."""
     a, b = taps[0::2], taps[1::2]
-    return _first_min(zip(np.abs(a - b), (a + b + 1) // 2))  # a + b + 1 <= 511
+    key = np.abs(a - b, dtype=np.int32)  # at most 255: an 18-bit packed key
+    return _packed_min(key, (a + b + 1) // 2)  # a + b + 1 <= 511
 
 
-def _line_restore(taps: np.ndarray) -> np.ndarray:
-    """:func:`type2_edge_preserve` over columns of sixteen taps, four per line."""
-    lines = taps.reshape(4, 4, -1)
+def _edge_stage(
+    taps: np.ndarray, weights_inside_abs: bool, limit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bits 0 and 1 of the code of edge pixels (1, plus 2 where :func:`type2_edge`
+    holds) and their :func:`type2_edge_preserve` values, from int16 columns of
+    the center and its sixteen line taps in ``_EDGE_TAPS`` order."""
+    center, lines = taps[0], taps[1:].reshape(4, 4, -1)  # each line: near, near, far, far
+    d = lines - center
+    if weights_inside_abs:
+        d[:, 2:] -= center  # the far taps against 2 * center
+    np.abs(d, out=d)
+    # at most 2 * (255 + 255) + 510 + 510 = 2040, with the far taps against 2 * center
+    dist = 2 * (d[:, 0] + d[:, 1]) + d[:, 2] + d[:, 3]
+    bits = (dist.min(axis=0) > limit) * np.uint8(2) + np.uint8(1)
     s = lines.sum(axis=1, dtype=np.int16)  # at most 4 * 255 = 1020
     # at most 2040, at two pixels of 255 and two of 0: the spread is convex in
-    # the pixels, so its maximum lies where each is 0 or 255
-    spread = np.abs(4 * lines - s[:, None]).sum(axis=1, dtype=np.int16)
-    return _first_min(zip(spread, (s - lines.min(axis=1) - lines.max(axis=1) + 1) // 2))
+    # the pixels, so its maximum lies where each is 0 or 255. A 21-bit packed key
+    key = np.abs(4 * lines - s[:, None]).sum(axis=1, dtype=np.int32)
+    return bits, _packed_min(key, (s - lines.min(axis=1) - lines.max(axis=1) + 1) // 2)
 
 
 # Floyd's optimal 25-comparator sorting network on nine inputs (Knuth, TAOCP
@@ -423,44 +445,32 @@ def _tables(gate_active: bool, skip_npc: bool) -> tuple[np.ndarray, np.ndarray]:
     return classes, runs
 
 
-def _noisy_edge_bits(taps: np.ndarray, weights_inside_abs: bool, limit: int) -> np.ndarray:
-    """Bits 0 and 1 of the code of edge pixels, from columns of the center
-    and its sixteen line taps: 1, plus 2 where :func:`type2_edge` holds."""
-    center, lines = taps[0], taps[1:].reshape(4, 4, -1)  # each line: near, near, far, far
-    d = lines - center
-    if weights_inside_abs:
-        d[:, 2:] -= center  # the far taps against 2 * center
-    np.abs(d, out=d)
-    # at most 2 * (255 + 255) + 510 + 510 = 2040, with the far taps against 2 * center
-    dist = 2 * (d[:, 0] + d[:, 1]) + d[:, 2] + d[:, 3]
-    return (dist.min(axis=0) > limit) * np.uint8(2) + np.uint8(1)
-
-
-# the center, then the sixteen line taps in _LINE_TAPS order
-_DIST_TAPS = tuple(np.concatenate([[2], taps]) for taps in _LINE_TAPS)
-
-# pixels per slice of a sparse stage: its gather index is an intp array of up
-# to 17 taps per pixel, 136 bytes each, so a slice's working set stays below
-# about 0.6 MiB whatever the share of pixels a class takes
+# pixels per slice of a sparse stage. The edge stage's slice holds the most
+# per pixel: the gather's intp index of 17 taps (136 bytes), the 17 int16
+# taps (34) and the (4, n) int32 key (16), 186 bytes in all, so a slice's
+# working set stays below 0.73 MiB (a full slice traced 0.63 MiB) whatever
+# the share of pixels a class takes
 _SLICE_PX = 2**12
 
 
-def _sparse(dest: np.ndarray, i: np.ndarray, padded: np.ndarray, taps, compute, *args) -> None:
-    """``dest.flat[i] = compute(t, *args)``, where column k of the int16 array t
-    holds the *taps* (rows, columns in the 5x5 window) of pixel ``i[k]``.
+def _gather(i: np.ndarray, padded: np.ndarray, taps) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yields ``(s, t)`` for slices s of *i* of at most ``_SLICE_PX`` pixels:
+    column k of the int16 array t holds the *taps* (rows, columns in the 5x5
+    window) of pixel ``i[s][k]``.
 
-    *dest* is a contiguous stack of the blocks of *padded*, without the pad.
-    Gathers, computes and scatters in slices of at most ``_SLICE_PX`` pixels.
+    *i* indexes the pixels of a contiguous stack of the blocks of *padded*,
+    without the pad, as a kernel output plane lays them out.
     """
     flat, width = padded.ravel(), padded.shape[-1]
-    (h, w), out = dest.shape[-2:], dest.ravel()
+    h, w = padded.shape[-2] - 4, width - 4
     offsets = (taps[0] * width + taps[1])[:, None]
     for start in range(0, i.size, _SLICE_PX):
-        j = i[start : start + _SLICE_PX]
+        s = slice(start, start + _SLICE_PX)
+        j = i[s]
         # pixel j, of block j // (h * w), has the top-left corner of its 5x5
         # window at j + 4 * (j // w) + 4 * width * (j // (h * w))
         corner = j + 4 * (j // w + width * (j // (h * w)))
-        out[j] = compute(flat[corner + offsets].astype(np.int16), *args)
+        yield s, flat[corner + offsets].astype(np.int16)
 
 
 def _iterate_block(
@@ -478,13 +488,17 @@ def _iterate_block(
     sorter network, which yields only the five ranks the classifiers and
     filters read, and every dense test runs on uint8 in forms that cannot
     wrap; only ``avg`` widens to int16. The noisy-edge bit is a don't-care
-    off edges (no class reads it there), so it is computed on edge pixels
-    only, and each edge-preserve filter on the pixels of its class only:
-    each of these sparse stages gathers its taps as int16 columns through
-    :func:`_sparse`. All arithmetic is exact integer work mirroring the
-    scalar stage functions (each bound is written beside its code). Each
-    filter selects its candidate as the scalar functions do (first minimum
-    in H, V, D, AD order), so frame and stream outputs agree bit for bit.
+    off edges (no class reads it there), so one fused stage runs on edge
+    pixels only: one gather of each one's center and line taps, as int16
+    columns through :func:`_gather`, yields both that bit and the type-2
+    filter value, which the class lookup then scatters onto the
+    ``NoisyEdge`` pixels (all of them edges). The pair filter gathers its
+    taps on ``Disordered`` pixels only. All arithmetic is exact integer
+    work mirroring the scalar stage functions (each bound is written
+    beside its code). Each filter selects its candidate with one ``min``
+    over packed keys (:func:`_packed_min`), first minimum in H, V, D, AD
+    order as in the scalar functions, so frame and stream outputs agree
+    bit for bit.
     """
     p3 = _window_planes(padded, _W3)
     center = p3[4]
@@ -519,14 +533,18 @@ def _iterate_block(
     avg //= 3  # the sum is at most 3 * 255 + 1 = 766
     del p3, f0, f3, f4, f5, f8, lo, span, sim_count  # free what the sparse stages do not read
 
-    # bits 0 and 1, on edge pixels; the distance is at most 2040, so every
-    # t2 >= 1020 makes the test false, as 2 * t2 clamped to 2040 does
+    # bits 0 and 1 and the line filter value, on edge pixels; the distance is
+    # at most 2040, so every t2 >= 1020 makes the test false, as 2 * t2
+    # clamped to 2040 does
     limit = min(2 * th.t2, 2040)
     i, edge = np.flatnonzero(edge), edge.view(np.uint8)  # flatnonzero runs ~10x faster on bool
-    _sparse(edge, i, padded, _DIST_TAPS, _noisy_edge_bits, weights_inside_abs, limit)
+    edge_flat, line = edge.ravel(), np.empty(i.size, np.uint8)
+    for s, taps in _gather(i, padded, _EDGE_TAPS):
+        edge_flat[i[s]], line[s] = _edge_stage(taps, weights_inside_abs, limit)
+        del taps  # else it stays alive through the next slice's gather
     code <<= 2
     code |= edge
-    del edge
+    del edge, edge_flat
     # the smallest dtype for 32 * n - 1: uint8 up to 8 blocks, else uint16, as
     # _drive stacks at most _BAND_PX // 45 blocks (each at least 5 x 9 pixels),
     # so the code stays below 32 * 728 = 23296
@@ -539,9 +557,12 @@ def _iterate_block(
     out = center.copy()
     np.copyto(out, avg, casting="unsafe", where=cls == ns)
     del avg
-    cls = cls.ravel()
-    _sparse(out, np.flatnonzero(cls == dis), padded, _PAIR_TAPS, _pair_restore)
-    _sparse(out, np.flatnonzero(cls == ne), padded, _LINE_TAPS, _line_restore)
+    cls, out_flat = cls.ravel(), out.ravel()
+    noisy = cls[i] == ne  # every NoisyEdge pixel is an edge pixel
+    out_flat[i[noisy]] = line[noisy]
+    i = np.flatnonzero(cls == dis)
+    for s, taps in _gather(i, padded, _PAIR_TAPS):
+        out_flat[i[s]] = _pair_restore(taps)
     return out, code
 
 

@@ -46,6 +46,7 @@ from mrdenoise.pipeline import (
     classify,
     classify_window,
 )
+from mrdenoise.restore import _PAIRS, type1_edge_preserve, type2_edge_preserve
 
 
 def padded(img):
@@ -353,6 +354,119 @@ class TestNetworkTables:
         zero_one_ranks(table, n, ranks)
 
 
+def _first_min(pairs):
+    """Per column, the value paired with the smallest key; the first minimum wins ties.
+
+    The compare-and-select chain of the scalar edge-preserve filters (a
+    strictly smaller key replaces the best so far), kept as the oracle for
+    the kernel's packed keys.
+    """
+    pairs = iter(pairs)
+    best_key, best = next(pairs)
+    for key, value in pairs:
+        take = key < best_key
+        best_key = np.where(take, key, best_key)
+        best = np.where(take, value, best)
+    return best
+
+
+# positions, in the 3x3 and 5x5 windows, of the pair filter's eight taps and
+# the line filter's sixteen, in the order the kernel gathers them
+PAIR_POSITIONS = np.ravel(_PAIRS)
+LINE_POSITIONS = np.ravel([near + far for near, far in zip(NEAR_PIXELS, FAR_PIXELS)])
+
+
+def tied_columns(g, width: int, key) -> np.ndarray:
+    """(4 * width, n) int16 columns of four directions of *width* taps each,
+    in which each set of two, three or four directions shares the smallest
+    ``key(taps)``: the tied directions are translates of one shape, which
+    keep its key but not its value, so only the direction order breaks the
+    tie right."""
+    cols = []
+    for size in (2, 3, 4):
+        for tied in itertools.combinations(range(4), size):
+            for _ in range(40):
+                shape = g.integers(0, 61, width)
+                shape -= shape.min()
+                col = []
+                for d in range(4):
+                    taps = shape + g.integers(0, 256 - shape.max())
+                    while d not in tied and key(taps) <= key(shape):
+                        taps = g.integers(0, 256, width)
+                    col += taps.tolist()
+                cols.append(col)
+    return np.array(cols, np.int16).T
+
+
+def corner_columns(taps: int) -> np.ndarray:
+    """Every column of *taps* values from {0, 255}."""
+    return ((np.arange(2**taps) >> np.arange(taps)[:, None]) & 1).astype(np.int16) * 255
+
+
+class TestPackedFilters:
+    """The kernel's packed-key filters against the first-minimum chain they
+    replace and against the scalar filters, on random columns, on columns
+    whose smallest keys tie in every arrangement of directions, and on
+    every column of 0s and 255s."""
+
+    @staticmethod
+    def columns(kind: str, taps: int) -> np.ndarray:
+        g = make_rng(5000 + taps)
+        if kind == "random":
+            return g.integers(0, 256, (taps, 20000)).astype(np.int16)
+        if kind == "ties":
+            # a pair's key is its difference, a line's its spread
+            if taps == 8:
+                return tied_columns(g, 2, lambda t: abs(t[0] - t[1]))
+            return tied_columns(g, 4, lambda t: np.abs(4 * t - t.sum()).sum())
+        return corner_columns(taps)
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "corners"])
+    def test_pair_filter(self, kind):
+        cols = self.columns(kind, 8)
+        packed = pipeline._pair_restore(cols)
+        a, b = cols[0::2], cols[1::2]
+        assert np.array_equal(packed, _first_min(zip(np.abs(a - b), (a + b + 1) // 2)))
+        w3 = np.zeros((9, cols.shape[1]), np.int16)
+        w3[PAIR_POSITIONS] = cols
+        assert packed.tolist() == [type1_edge_preserve(w) for w in w3.T.tolist()]
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "corners"])
+    def test_line_filter(self, kind):
+        cols = self.columns(kind, 16)
+        # the edge stage's first tap row is the center, which the filter ignores
+        center = make_rng(5100).integers(0, 256, (1, cols.shape[1])).astype(np.int16)
+        _, packed = pipeline._edge_stage(np.concatenate([center, cols]), False, 0)
+        lines = cols.reshape(4, 4, -1)
+        s = lines.sum(axis=1)
+        spread = np.abs(4 * lines - s[:, None]).sum(axis=1)
+        value = (s - lines.min(axis=1) - lines.max(axis=1) + 1) // 2
+        assert np.array_equal(packed, _first_min(zip(spread, value)))
+        w5 = np.zeros((25, cols.shape[1]), np.int16)
+        w5[LINE_POSITIONS] = cols
+        assert packed.tolist() == [type2_edge_preserve(w) for w in w5.T.tolist()]
+
+
+class TestFullDomain:
+    """Narrowed uint8 forms of the kernel against their scalar tests over
+    their whole domain, read back from ``_iterate_block``'s code plane."""
+
+    def test_similarity_range_form(self):
+        # rows of the 256 centers c, each between two rows of one value p:
+        # a center's window holds six p's and two centers, so with t5 = 6 bit
+        # 2 is set exactly when |p - c| <= t4. t1 = t3 = 255 leave no edge or
+        # disordered pixel, so no sparse stage runs
+        v = np.arange(256, dtype=np.uint8)
+        img = np.repeat(v[:, None, None], 3, axis=1).repeat(256, axis=2)
+        img[:, 1] = v
+        block = padded(img.reshape(768, 256))[None]
+        classes = _tables(True, False)[0]
+        distance = np.abs(v[:, None].astype(np.int16) - v)  # rows p, columns c
+        for t4 in range(300):
+            _, (code,) = _iterate_block(block, Thresholds(t1=255, t3=255, t4=t4, t5=6), classes, False)
+            assert np.array_equal(code[1::3] >> 2 & 1, distance <= t4), t4
+
+
 def line_extremes(img, eq4_literal: bool) -> tuple[int, int]:
     """The largest directional distance and line spread over the 5x5 windows of *img*."""
     padded = np.pad(img, 2, mode="edge").tolist()
@@ -603,14 +717,14 @@ class TestMemory:
         return counts
 
     def test_pass_peak_within_plane_budget(self):
-        # about 2.4 planes on uint8 blocks
+        # about 2.38 planes on uint8 blocks
         self.check_pass_peak(inject_rvin(synthetic_mr_slice(3), NoiseSpec.rvin(0.20, seed=7))[0])
 
     def test_edge_heavy_pass_peak_within_plane_budget(self):
-        # on a uniform random frame the sparse stages run on most pixels: the
-        # directional distance on every edge and the line filter on every
-        # NoisyEdge. Their bounded slices hold the pass to about 4.5 planes,
-        # where gathering each stage's taps for all its pixels at once took 16.6
+        # on a uniform random frame the fused edge stage runs on most pixels:
+        # the directional distance and the line filter on every edge. Its
+        # bounded slices hold the pass to about 4.13 planes, where gathering
+        # each stage's taps for all its pixels at once took 16.6
         counts = self.check_pass_peak(random_image(4800, 256, 256))
         assert counts[PixelClass.NOISY_EDGE] > 256 * 256 // 2
 
