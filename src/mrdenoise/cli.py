@@ -174,42 +174,43 @@ def _cmd_denoise(args) -> int:
     return 0
 
 
-def _comma_list(text: str, what: str) -> list[str]:
+def _comma_list(text: str, what: str, convert) -> list:
+    """The items of a comma-separated list of *what*, each through *convert*,
+    which refuses a bad one. A repeat would add two runs into one mean."""
     items = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not items:
         raise ValueError(f"{what} list is empty")
-    return items
+    values = []
+    for value in map(convert, items):
+        if value in values:
+            raise ValueError(f"{what} {value!r} given twice")
+        values.append(value)
+    return values
 
 
 def _parse_densities(text: str) -> list[float]:
-    tokens = _comma_list(text, "density")
-    try:
-        densities = [float(tok) for tok in tokens]
-    except ValueError:
-        raise ValueError(f"invalid density list: {text!r}") from None
-    # a repeated density or method would add two runs into one mean
-    for i, d in enumerate(densities):
+    def density(tok: str) -> float:
+        try:
+            d = float(tok)
+        except ValueError:
+            raise ValueError(f"invalid density list: {text!r}") from None
         if not 0.0 <= d <= 1.0:
             raise ValueError(f"density {d} outside [0, 1]")
-        if d in densities[:i]:
-            raise ValueError(f"density {d} given twice")
-    return densities
+        return d
+
+    return _comma_list(text, "density", density)
 
 
-def _parse_methods(text: str) -> list[str]:
-    methods = _comma_list(text, "method")
-    for i, m in enumerate(methods):
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r} (choose from {', '.join(METHODS)})")
-        if m in methods[:i]:
-            raise ValueError(f"method {m!r} given twice")
-    return methods
+def _method(tok: str) -> str:
+    if tok not in METHODS:
+        raise ValueError(f"unknown method {tok!r} (choose from {', '.join(METHODS)})")
+    return tok
 
 
 def _cmd_eval(args) -> int:
     cfg = _config_from_args(args)
     densities = _parse_densities(args.densities)
-    methods = _parse_methods(args.methods)
+    methods = _comma_list(args.methods, "method", _method)
     if args.seed < 0:
         raise ValueError(f"seed must be nonnegative, got {args.seed}")
     _require_output_dirs(args.out)

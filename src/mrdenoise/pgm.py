@@ -2,7 +2,8 @@
 
 Neither format holds the whole file: the header is parsed from the first
 bytes read, a P5 raster is read straight into the returned array, and a P2
-raster is parsed by a numpy scan over chunks of ``_CHUNK`` bytes.
+raster is parsed by a numpy scan over chunks of ``_CHUNK`` bytes. A pipe is
+read whole once its header passes; one that cannot pass is refused unread.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import stat
 import sys
 from collections.abc import Iterator
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 
@@ -58,7 +58,7 @@ def _header_int(tokens: Iterator[re.Match], what: str) -> tuple[int, int]:
             return int(m[1]), m.end()
         except ValueError:  # more digits than int() converts
             pass
-    raise PgmFormatError(f"invalid {what} in PGM header: {m[1]!r}")
+    raise PgmFormatError(f"invalid {what} in PGM header: {m[1][:16]!r}")
 
 
 def read_pgm(path: str | os.PathLike) -> np.ndarray:
@@ -70,28 +70,32 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
     # straight into the image
     with open(path, "rb", buffering=0) as fh:
         st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode):
-            return _read(fh, st.st_size)
-        # a pipe has no size to bound the raster by, so it is read whole
-        data = fh.read()
-    return _read(io.BytesIO(data), len(data))
+        return _read(fh, st.st_size if stat.S_ISREG(st.st_mode) else None)
 
 
-def _read(fh: io.RawIOBase, size: int) -> np.ndarray:
-    """Parse the PGM file open in *fh*, whose length is *size* bytes."""
+def _hopeless(tokens: list[re.Match]) -> bool:
+    """Whether header tokens, the last maybe cut short, can no longer pass: a
+    magic that does not start ``P5`` or ``P2``, or a number not all digits."""
+    magic, *numbers = [m[1] for m in tokens] or [b""]
+    return not (b"P5".startswith(magic) or b"P2".startswith(magic)) or not all(map(bytes.isdigit, numbers))
+
+
+def _read(fh: io.RawIOBase, size: int | None) -> np.ndarray:
+    """Parse the PGM file open in *fh*, of *size* bytes, or of unknown size (None)."""
     head = b""
     while True:
         more = fh.read(max(_CHUNK, len(head)))
         head += more
         tokens = list(islice((m for m in _TOKEN.finditer(head) if m[1] is not None), 4))
-        # a match that reaches the end of the bytes in hand may grow on the next read
-        if not more or (len(tokens) == 4 and tokens[3].end() < len(head)):
+        # a match that reaches the end of the bytes in hand may grow on the next
+        # read; a header that can no longer pass is refused without reading on
+        if not more or (len(tokens) == 4 and tokens[3].end() < len(head)) or _hopeless(tokens):
             break
     tokens = iter(tokens)
     first = next(tokens, None)
     magic = first[1] if first else b""
     if magic not in (b"P5", b"P2"):
-        raise PgmFormatError(f"unsupported PGM magic {magic!r} (expected P5 or P2)")
+        raise PgmFormatError(f"unsupported PGM magic {magic[:16]!r} (expected P5 or P2)")
     width, _ = _header_int(tokens, "width")
     height, _ = _header_int(tokens, "height")
     if width < 1 or height < 1:
@@ -99,6 +103,10 @@ def _read(fh: io.RawIOBase, size: int) -> np.ndarray:
     maxval, pos = _header_int(tokens, "maxval")
     if maxval != PEAK:
         raise PgmFormatError(f"unsupported maxval {maxval} (only {PEAK} accepted)")
+    if size is None:
+        # a pipe has no size to bound the raster by, so the rest is read whole
+        data = fh.read()
+        fh, size = io.BytesIO(data), len(head) + len(data)
 
     count = width * height
     rest = head[pos:]
@@ -223,12 +231,12 @@ def write_pgm(path: str | os.PathLike, img, *, ascii_format: bool = False) -> No
     """
     arr = as_gray(img)
     h, w = arr.shape
-    if ascii_format:
-        # one tolist() call yields Python ints, so no numpy scalar is formatted
-        rows = (" ".join(map(str, row)) for row in arr.tolist())
-        Path(path).write_bytes(f"P2\n{w} {h}\n255\n".encode() + "\n".join(rows).encode() + b"\n")
-    else:
-        # the raster goes out from the array's own buffer, uncopied
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{w} {h}\n255\n".encode())
+    with open(path, "wb") as fh:
+        fh.write(f"P{2 if ascii_format else 5}\n{w} {h}\n255\n".encode())
+        if ascii_format:
+            # a row at a time; tolist() yields Python ints, so no numpy scalar is formatted
+            for row in arr:
+                fh.write(" ".join(map(str, row.tolist())).encode() + b"\n")
+        else:
+            # the raster goes out from the array's own buffer, uncopied
             fh.write(np.ascontiguousarray(arr).data)

@@ -15,8 +15,8 @@ decision tree and restored by the filter matched to its class:
 
 The kernel packs each pixel's five predicates into a uint8 code (bit 0
 edge, 1 noisy edge, 2 similar, 3 disordered, 4 candidate) and looks its
-class up in a 32-entry table. :func:`_decide` walks the tree once per
-code to build the tables and the stages on each code's path.
+class up in a 32-entry table, built by :func:`_tables` from the one tree,
+:func:`_walk`, that the scalar :func:`classify_window` walks too.
 
 Each pass reads only the output of the previous pass, which makes
 per-pixel work order-independent. :func:`_drive` runs the passes as a
@@ -157,6 +157,24 @@ def _window_planes(padded: np.ndarray, taps: Iterable[int]) -> list[np.ndarray]:
     return [padded[..., t // 5 : t // 5 + h, t % 5 : t % 5 + w] for t in taps]
 
 
+def _walk(test, gate_active: bool, skip_noisy_pixel_check: bool) -> PixelClass:
+    """The decision tree, once: ``test(stage)`` runs the classifier stage
+    named by its ``MODULE_NAMES`` entry and returns its predicate. Only the
+    stages on the pixel's path are asked. :func:`classify_window` answers
+    with the scalar predicates, :func:`_tables` with the bits of a code."""
+    if test("type1_edge_detector"):
+        if not test("type2_edge_detector") and test("similarity_checker"):
+            return PixelClass.KEEP_EDGE
+        return PixelClass.NOISY_EDGE
+    if test("disorder_analyzer"):
+        return PixelClass.DISORDERED
+    if skip_noisy_pixel_check or not test("noisy_pixel_checker"):
+        return PixelClass.KEEP_SMOOTH
+    if gate_active and test("similarity_checker"):
+        return PixelClass.RESCUED_CANDIDATE
+    return PixelClass.NOISY_SMOOTH
+
+
 def classify_window(
     w3,
     w5,
@@ -174,35 +192,21 @@ def classify_window(
     evaluated; the stream engine's per-stage counts follow the same rules.
     """
     th = thresholds
-    if counters is not None:
-        counters["type1_edge_detector"] += 1
-    if type1_edge(f, th.t1):
+
+    def test(stage: str) -> bool:
         if counters is not None:
-            counters["type2_edge_detector"] += 1
-        if type2_edge(w5, th.t2, weights_inside_abs=weights_inside_abs):
-            return PixelClass.NOISY_EDGE
-        if counters is not None:
-            counters["similarity_checker"] += 1
-        if similarity(w3, th.t4, th.t5):
-            return PixelClass.KEEP_EDGE
-        return PixelClass.NOISY_EDGE
-    if counters is not None:
-        counters["disorder_analyzer"] += 1
-    if disorder(int(w3[4]), f, th.t3):
-        return PixelClass.DISORDERED
-    if skip_noisy_pixel_check:
-        return PixelClass.KEEP_SMOOTH
-    if counters is not None:
-        counters["noisy_pixel_checker"] += 1
-    if not noisy_pixel(int(w3[4]), f, th.t4):
-        return PixelClass.KEEP_SMOOTH
-    if not gate_active:
-        return PixelClass.NOISY_SMOOTH
-    if counters is not None:
-        counters["similarity_checker"] += 1
-    if similarity(w3, th.t4, th.t5):
-        return PixelClass.RESCUED_CANDIDATE
-    return PixelClass.NOISY_SMOOTH
+            counters[stage] += 1
+        if stage == "type1_edge_detector":
+            return type1_edge(f, th.t1)
+        if stage == "type2_edge_detector":
+            return type2_edge(w5, th.t2, weights_inside_abs=weights_inside_abs)
+        if stage == "similarity_checker":
+            return similarity(w3, th.t4, th.t5)
+        if stage == "disorder_analyzer":
+            return disorder(int(w3[4]), f, th.t3)
+        return noisy_pixel(int(w3[4]), f, th.t4)
+
+    return _walk(test, gate_active, skip_noisy_pixel_check)
 
 
 def classify(
@@ -234,25 +238,29 @@ def classify(
     )
 
 
+# the restore filter each class runs; the other classes keep the center
+_FILTERS = {
+    PixelClass.NOISY_EDGE: "type2_edge_preserve_filter",
+    PixelClass.DISORDERED: "type1_edge_preserve_filter",
+    PixelClass.NOISY_SMOOTH: "average_filter",
+}
+
+
 def restore_pixel(pixel_class: PixelClass, w3, w5, f, counters: dict | None = None) -> int:
     """Restored intensity for a pixel of the given class.
 
     Kept classes return the original center; noisy edges are repaired
     along their flattest direction, disordered centers from the most
     alike symmetric pair, and noisy smooth pixels by the median-rank
-    average.
+    average. ``counters``, when given, is bumped for the filter that runs.
     """
+    if counters is not None and pixel_class in _FILTERS:
+        counters[_FILTERS[pixel_class]] += 1
     if pixel_class is PixelClass.NOISY_EDGE:
-        if counters is not None:
-            counters["type2_edge_preserve_filter"] += 1
         return type2_edge_preserve(w5)
     if pixel_class is PixelClass.DISORDERED:
-        if counters is not None:
-            counters["type1_edge_preserve_filter"] += 1
         return type1_edge_preserve(w3)
     if pixel_class is PixelClass.NOISY_SMOOTH:
-        if counters is not None:
-            counters["average_filter"] += 1
         return average_restore(f)
     return int(w3[4])
 
@@ -397,50 +405,32 @@ def _select(planes: list[np.ndarray], table, ranks) -> list[np.ndarray]:
 
 
 _CODES = 32  # the kernel's 5-bit predicate codes
-
-
-def _decide(code: int, gate_active: bool, skip_npc: bool, ran: list[str]) -> PixelClass:
-    """The class of a pixel whose predicates are the bits of *code*, by the
-    branches of :func:`classify_window`; appends to *ran* each stage the
-    scalar specification runs on it, the sorter and restore filter too."""
-    edge, noisy_edge, similar, disordered, candidate = (code >> b & 1 for b in range(5))
-    ran += ["sorter", "type1_edge_detector"]
-    if edge:
-        ran.append("type2_edge_detector")
-        if not noisy_edge:
-            ran.append("similarity_checker")
-            if similar:
-                return PixelClass.KEEP_EDGE
-        ran.append("type2_edge_preserve_filter")
-        return PixelClass.NOISY_EDGE
-    ran.append("disorder_analyzer")
-    if disordered:
-        ran.append("type1_edge_preserve_filter")
-        return PixelClass.DISORDERED
-    if skip_npc:
-        return PixelClass.KEEP_SMOOTH
-    ran.append("noisy_pixel_checker")
-    if not candidate:
-        return PixelClass.KEEP_SMOOTH
-    if gate_active:
-        ran.append("similarity_checker")
-        if similar:
-            return PixelClass.RESCUED_CANDIDATE
-    ran.append("average_filter")
-    return PixelClass.NOISY_SMOOTH
+# the classifier stage behind each bit of a code, bit 0 first
+_STAGE_BITS = (
+    "type1_edge_detector", "type2_edge_detector", "similarity_checker", "disorder_analyzer", "noisy_pixel_checker"
+)
 
 
 @cache
 def _tables(gate_active: bool, skip_npc: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One schedule step's tables, from :func:`_decide`: ``classes[code]``
-    is the class of each code, and ``runs[code, m]`` how often module
-    ``MODULE_NAMES[m]`` runs on it."""
+    """One schedule step's tables, from :func:`_walk` with each stage answering
+    its bit of the code: ``classes[code]`` is the class of each code, and
+    ``runs[code, m]`` how often module ``MODULE_NAMES[m]`` runs on it, counted
+    as callers of the scalar spec count: the sorter, each stage asked, the filter."""
     classes = np.zeros(_CODES, np.uint8)
     runs = np.zeros((_CODES, len(MODULE_NAMES)), np.int64)
     for code in range(_CODES):
-        ran: list[str] = []
-        classes[code] = _decide(code, gate_active, skip_npc, ran)
-        runs[code] = [ran.count(name) for name in MODULE_NAMES]
+        counts = dict.fromkeys(MODULE_NAMES, 0)
+        counts["sorter"] = 1
+
+        def test(stage: str, code: int = code, counts: dict = counts) -> bool:
+            counts[stage] += 1
+            return bool(code >> _STAGE_BITS.index(stage) & 1)
+
+        classes[code] = cls = _walk(test, gate_active, skip_npc)
+        if cls in _FILTERS:
+            counts[_FILTERS[cls]] += 1
+        runs[code] = list(counts.values())
     classes.flags.writeable = runs.flags.writeable = False  # cached: every pass shares them
     return classes, runs
 

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import sys
 import threading
@@ -214,6 +215,13 @@ class TestAsciiMemory:
         peak = traced_peak(lambda: read_pgm(path))
         assert peak <= 1.5 * img.nbytes + 16 * 1024, f"peak {peak / img.nbytes:.2f} images"
 
+    def test_write_holds_one_row_of_text(self, tmp_path):
+        img = random_image(5, 512, 512)
+        path = tmp_path / "w.pgm"
+        # the text goes out a row at a time; built whole it peaked at 11.9 images
+        peak = traced_peak(lambda: write_pgm(path, img, ascii_format=True))
+        assert peak <= 0.5 * img.nbytes, f"peak {peak / img.nbytes:.2f} images"
+
     def test_stream_sized_read_peak(self, tmp_path):
         # a 128x128 RVIN 20 % phantom, the benchmark's stream-128-p2 input size;
         # the whole-file reader peaked at 76-78 KB on it
@@ -281,6 +289,32 @@ class TestReader:
             assert np.array_equal(read_pgm(fifo), img)
         finally:
             writer.join()
+
+    @pytest.mark.parametrize("prefix", [b"", b"P5\n"], ids=["magic", "width"])
+    def test_refuses_a_bad_pipe_before_reading_it_whole(self, tmp_path, prefix):
+        # NUL bytes never end a token; the writer offers 256 times what a
+        # 64 KiB pipe buffer holds, and read_pgm must close the pipe long
+        # before that, once the token in hand cannot be a magic or a number
+        fifo = tmp_path / "z.pgm"
+        os.mkfifo(fifo)
+        blocks, written = 256, []
+
+        def write():
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+                fh.write(prefix)
+                for _ in range(blocks):
+                    fh.write(bytes(65536))
+                    written.append(1)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            with pytest.raises(PgmFormatError, match="magic" if not prefix else "width"):
+                read_pgm(fifo)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert len(written) < blocks
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -163,6 +163,70 @@ class TestRestorePixel:
 PREDICATE_BITS = ("type1_edge", "type2_edge", "similarity", "disorder", "noisy_pixel")
 
 
+# each schedule step's tables, frozen: digit k of the classes is the PixelClass
+# of code k, and digit k of a module's string its runs on code k. Both the
+# scalar spec and the tables walk one tree, so only these literals check
+# its branches on their own
+FROZEN_TABLES = {
+    (True, False): (
+        "41414041212120213131505121212021",
+        {
+            "sorter": "11111111111111111111111111111111",
+            "type1_edge_detector": "11111111111111111111111111111111",
+            "type2_edge_detector": "01010101010101010101010101010101",
+            "disorder_analyzer": "10101010101010101010101010101010",
+            "noisy_pixel_checker": "10101010000000001010101000000000",
+            "similarity_checker": "01000100010001001110111001000100",
+            "average_filter": "00000000000000001010000000000000",
+            "type1_edge_preserve_filter": "00000000101010100000000010101010",
+            "type2_edge_preserve_filter": "01010001010100010101000101010001",
+        },
+    ),
+    (True, True): (
+        "41414041212120214141404121212021",
+        {
+            "sorter": "11111111111111111111111111111111",
+            "type1_edge_detector": "11111111111111111111111111111111",
+            "type2_edge_detector": "01010101010101010101010101010101",
+            "disorder_analyzer": "10101010101010101010101010101010",
+            "noisy_pixel_checker": "00000000000000000000000000000000",
+            "similarity_checker": "01000100010001000100010001000100",
+            "average_filter": "00000000000000000000000000000000",
+            "type1_edge_preserve_filter": "00000000101010100000000010101010",
+            "type2_edge_preserve_filter": "01010001010100010101000101010001",
+        },
+    ),
+    (False, False): (
+        "41414041212120213131303121212021",
+        {
+            "sorter": "11111111111111111111111111111111",
+            "type1_edge_detector": "11111111111111111111111111111111",
+            "type2_edge_detector": "01010101010101010101010101010101",
+            "disorder_analyzer": "10101010101010101010101010101010",
+            "noisy_pixel_checker": "10101010000000001010101000000000",
+            "similarity_checker": "01000100010001000100010001000100",
+            "average_filter": "00000000000000001010101000000000",
+            "type1_edge_preserve_filter": "00000000101010100000000010101010",
+            "type2_edge_preserve_filter": "01010001010100010101000101010001",
+        },
+    ),
+    (False, True): (
+        "41414041212120214141404121212021",
+        {
+            "sorter": "11111111111111111111111111111111",
+            "type1_edge_detector": "11111111111111111111111111111111",
+            "type2_edge_detector": "01010101010101010101010101010101",
+            "disorder_analyzer": "10101010101010101010101010101010",
+            "noisy_pixel_checker": "00000000000000000000000000000000",
+            "similarity_checker": "01000100010001000100010001000100",
+            "average_filter": "00000000000000000000000000000000",
+            "type1_edge_preserve_filter": "00000000101010100000000010101010",
+            "type2_edge_preserve_filter": "01010001010100010101000101010001",
+        },
+    ),
+}
+
+
 class TestTruthTable:
     @pytest.mark.parametrize("gate_active", [True, False])
     @pytest.mark.parametrize("skip_npc", [False, True])
@@ -189,6 +253,15 @@ class TestTruthTable:
             restore_pixel(cls, w3, w5, sorted(w3), counters)
             assert cls == classes[code], code
             assert list(counters.values()) == runs[code].tolist(), code
+
+    @pytest.mark.parametrize(("gate_active", "skip_npc"), list(FROZEN_TABLES))
+    def test_tables_frozen(self, gate_active, skip_npc):
+        classes, runs = _tables(gate_active, skip_npc)
+        want_classes, want_runs = FROZEN_TABLES[gate_active, skip_npc]
+        assert "".join(map(str, classes.tolist())) == want_classes
+        assert list(want_runs) == list(MODULE_NAMES)
+        for m, column in enumerate(want_runs.values()):
+            assert "".join(map(str, runs[:, m].tolist())) == column, MODULE_NAMES[m]
 
     @pytest.mark.parametrize("eq4_literal", [False, True])
     def test_code_bits_are_scalar_predicates(self, eq4_literal):
@@ -447,6 +520,22 @@ class TestPackedFilters:
         assert packed.tolist() == [type2_edge_preserve(w) for w in w5.T.tolist()]
 
 
+def disorder_medians() -> list[tuple[int, int, int, int]]:
+    """``(c, f3, f4, f5)`` with the center c a window value: d below f3 (and,
+    mirrored, above f5) with the medians packed or spread, or at f3, f4 or f5
+    of medians d apart, for every d in 0..255, at both ends of the uint8 range."""
+    below, inside = set(), set()
+    for d in range(256):
+        for lo in {0, 255 - d}:
+            for s in (0, 1, 64):
+                f4 = min(lo + d + s, 255)
+                below.add((lo, lo + d, f4, min(f4 + s, 255)))
+            for f4 in (lo, lo + d // 2, lo + d):
+                inside |= {(c, lo, f4, lo + d) for c in (lo, f4, lo + d)}
+    above = {(255 - c, 255 - f5, 255 - f4, 255 - f3) for c, f3, f4, f5 in below}
+    return sorted(below | above | inside)
+
+
 class TestFullDomain:
     """Narrowed uint8 forms of the kernel against their scalar tests over
     their whole domain, read back from ``_iterate_block``'s code plane."""
@@ -465,6 +554,24 @@ class TestFullDomain:
         for t4 in range(300):
             _, (code,) = _iterate_block(block, Thresholds(t1=255, t3=255, t4=t4, t5=6), classes, False)
             assert np.array_equal(code[1::3] >> 2 & 1, distance <= t4), t4
+
+    def test_disorder_two_sided_form(self):
+        windows = []
+        for c, f3, f4, f5 in disorder_medians():
+            # three values at or below f3 and three at or above f5, the center
+            # among them, so that f3, f4 and f5 sort to ranks 3, 4 and 5
+            values = [min(c, f3)] * 3 + [f3, f4, f5] + [max(c, f5)] * 3
+            values.remove(c)
+            windows.append(values[:4] + [c] + values[4:])
+        # each window in three columns of its own, its center in row 1;
+        # t1 = 255 leaves no edge pixel, so only the pair filter's gather runs
+        img = np.array(windows, np.uint8).reshape(-1, 3, 3).transpose(1, 0, 2).reshape(3, -1)
+        block = padded(img)[None]
+        classes, ranked = _tables(True, False)[0], [sorted(w) for w in windows]
+        for t3 in range(300):
+            _, (code,) = _iterate_block(block, Thresholds(t1=255, t3=t3), classes, False)
+            want = [disorder(w[4], f, t3) for w, f in zip(windows, ranked)]
+            assert (code[1, 1::3] >> 3 & 1).tolist() == want, t3
 
 
 def line_extremes(img, eq4_literal: bool) -> tuple[int, int]:
