@@ -11,17 +11,19 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import os
+import stat
 import sys
 import time
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .detect import Thresholds, load_thresholds
 from .image import psnr
 from .noise import NoiseSpec, inject_fvin, inject_rvin, write_mask
-from .pgm import PgmFormatError, read_pgm, write_pgm
-from .pipeline import PipelineConfig, denoise, denoise_with_stats, median_filter
+from .pgm import PgmFormatError, _raster, _write, read_pgm, write_pgm
+from .pipeline import PipelineConfig, _chunk_rows, _drive, _pass_stats, denoise, median_filter
 from .pipeline import write_class_stats_csv
-from .stream import stream_denoise_with_stats
 
 DEFAULT_DENSITIES = (0.05, 0.10, 0.15, 0.20, 0.30, 0.40)
 
@@ -99,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("frame", "stream"),
         default="frame",
-        help="run the passes on the whole frame, or stream its rows through them one at a time (same output)",
+        help="feed the passes cache-sized bands of rows, or one row at a time like a line-buffered chip (same output)",
     )
     p_denoise.add_argument(
         "--stats",
@@ -162,16 +164,67 @@ def _cmd_inject(args) -> int:
 def _cmd_denoise(args) -> int:
     cfg = _config_from_args(args)
     _require_output_dirs(args.output, args.stats)
-    noisy = read_pgm(args.input)
-    if args.engine == "stream":
-        out, class_stats, module_stats = stream_denoise_with_stats(noisy, cfg)
-    else:
-        out, class_stats = denoise_with_stats(noisy, cfg)
-        module_stats = None
-    write_pgm(args.output, out)
-    if args.stats:
-        write_class_stats_csv(args.stats, class_stats, module_stats)
+    # file to file in bands (frame engine) or rows (stream engine): each
+    # restored row is written as it leaves the passes, so memory does not
+    # grow with the image
+    with open(args.input, "rb", buffering=0) as src:
+        shape, bands = _raster(src)
+        try:
+            rows = _chunk_rows(shape, 1 if args.engine == "stream" else 0)
+        except ValueError:
+            # a malformed raster is an I/O error (exit 1) before an
+            # undersized image is a usage error, as when it was read whole
+            for _ in bands(1):
+                pass
+            raise
+        bins = []
+        with _replacing(args.output) as dst:
+            _write(dst, shape, _drive(bands(rows), cfg, bins))
+            # before the rename, so that a stats file that cannot be written
+            # leaves the output as it was
+            if args.stats:
+                class_stats, module_stats = _pass_stats(bins, cfg)
+                write_class_stats_csv(args.stats, class_stats, module_stats if args.engine == "stream" else None)
     return 0
+
+
+@contextmanager
+def _replacing(path: str):
+    """Open *path* for writing so that an error leaves it as it was.
+
+    A missing or regular file, reached through any symlinks, is written to a
+    temporary file beside it, renamed over it on success and removed on any
+    error, so an input that is that same file reads as it was until the
+    rename. The temporary file gets what ``open(path, "wb")`` would keep:
+    an existing file's mode and, where the user may set them, its owner and
+    group, else 0o666 less the umask. Any other file, such as a FIFO or a
+    terminal, is written straight and never replaced.
+    """
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    # beside the file a symlink names, so the rename replaces that file and
+    # not the link; the short name fits wherever the output's own does
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".mrdenoise-{os.urandom(4).hex()}.tmp")
+    # O_EXCL makes a new file; the kernel takes the umask off 0o666
+    with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+        try:
+            if st is not None:
+                with suppress(PermissionError):
+                    os.fchown(fh.fileno(), st.st_uid, st.st_gid)
+                os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+            yield fh
+            fh.close()
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _comma_list(text: str, what: str, convert) -> list:

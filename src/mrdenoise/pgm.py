@@ -1,9 +1,14 @@
 """Bit-exact PGM image I/O: binary ``P5`` and ASCII ``P2``, maxval 255.
 
-Neither format holds the whole file: the header is parsed from the first
-bytes read, a P5 raster is read straight into the returned array, and a P2
-raster is parsed by a numpy scan over chunks of ``_CHUNK`` bytes. A pipe is
-read whole once its header passes; one that cannot pass is refused unread.
+One reader serves every caller and never holds the whole file. It parses
+and checks the header from the first bytes read, then reads the raster in
+bands of rows straight from the open file: :func:`read_pgm` asks for one
+band of all rows, ``mrdenoise denoise`` for cache-sized bands or single
+rows. A P5 band is read into with ``readinto``; a P2 band fills from a
+numpy scan over chunks of ``_CHUNK`` bytes. A pipe has no size to check
+the header against, so its bands grow only as its bytes arrive, its
+header holds only the token in hand, and a header that cannot pass is
+refused unread.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ import os
 import re
 import stat
 import sys
-from collections.abc import Iterator
-from itertools import islice
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -34,12 +38,13 @@ _COMMENT = re.compile(rb"(?<![^ \t\n\r\x0b\x0c])#[^\n\r]*")
 _KIND = bytes(0 if b in _WHITESPACE else 1 if 48 <= b <= 57 else 2 for b in range(256))
 # each ASCII digit's value, and 0 for any other byte
 _DIGIT = bytes(b - 48 if 48 <= b <= 57 else 0 for b in range(256))
-# P2 raster bytes read per numpy scan. Each scan costs some 20 us of calls
-# and about 12 bytes of temporaries per chunk byte. read_pgm of a 128x128
-# P2 phantom (56 KB; 2-CPU Xeon, numpy 2.4.6) took 2.1 / 1.5 / 1.1 / 0.9 ms
-# at 1 / 2 / 4 / 8 KiB, peaking at 32 / 44 / 68 / 119 KB traced; reading
-# the whole file took 9-18 ms and 78 KB. 2 KiB keeps most of the speed at
-# about half that peak, below what the stream engine then needs
+# P2 raster bytes read per numpy scan, and P5 bytes per read of a pipe.
+# Each scan costs some 20 us of calls and about 12 bytes of temporaries per
+# chunk byte. read_pgm of a 128x128 P2 phantom (56 KB; 2-CPU Xeon, numpy
+# 2.4.6) took 2.1 / 1.5 / 1.1 / 0.9 ms at 1 / 2 / 4 / 8 KiB, peaking at
+# 32 / 44 / 68 / 119 KB traced; reading the whole file took 9-18 ms and
+# 78 KB. 2 KiB keeps most of the speed at about half that peak, below what
+# the stream engine then needs
 _CHUNK = 2048
 
 
@@ -69,28 +74,69 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
     # unbuffered: the reads below are chunk-sized, and a P5 raster goes
     # straight into the image
     with open(path, "rb", buffering=0) as fh:
-        st = os.fstat(fh.fileno())
-        return _read(fh, st.st_size if stat.S_ISREG(st.st_mode) else None)
+        (height, _), bands = _raster(fh)
+        (img,) = bands(height)
+        return img
 
 
 def _hopeless(tokens: list[re.Match]) -> bool:
     """Whether header tokens, the last maybe cut short, can no longer pass: a
-    magic that does not start ``P5`` or ``P2``, or a number not all digits."""
+    magic that does not start ``P5`` or ``P2``, or a number not all digits or
+    longer than ``int()`` converts."""
     magic, *numbers = [m[1] for m in tokens] or [b""]
-    return not (b"P5".startswith(magic) or b"P2".startswith(magic)) or not all(map(bytes.isdigit, numbers))
+    limit = _digit_limit()
+    return not (b"P5".startswith(magic) or b"P2".startswith(magic)) or not all(
+        n.isdigit() and not 0 < limit < len(n) for n in numbers
+    )
 
 
-def _read(fh: io.RawIOBase, size: int | None) -> np.ndarray:
-    """Parse the PGM file open in *fh*, of *size* bytes, or of unknown size (None)."""
-    head = b""
+def _digit_limit() -> int:
+    """The most digits ``int()`` converts, zero padding included (0: no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _header(fh: io.RawIOBase) -> tuple[list[re.Match], int, bytes]:
+    """The header tokens of the file open in *fh*, the file offset just past
+    the last, and the bytes read beyond it.
+
+    There are four tokens unless the file ends first or the tokens in hand,
+    the last maybe cut short, can no longer pass; the offset and the bytes
+    are then of no use. Between reads only a token the read cut short is
+    kept, and an open comment only as its ``#``, so a pipe of whitespace or
+    of one endless comment holds one read's bytes.
+    """
+    head, base, tokens = b"", 0, []
     while True:
         more = fh.read(max(_CHUNK, len(head)))
         head += more
-        tokens = list(islice((m for m in _TOKEN.finditer(head) if m[1] is not None), 4))
-        # a match that reaches the end of the bytes in hand may grow on the next
-        # read; a header that can no longer pass is refused without reading on
-        if not more or (len(tokens) == 4 and tokens[3].end() < len(head)) or _hopeless(tokens):
-            break
+        cut = None  # a match that reaches the end of the bytes in hand may grow
+        for m in _TOKEN.finditer(head):
+            if more and m.end() == len(head):
+                cut = m
+                break
+            if m[1] is not None:
+                tokens.append(m)
+                if len(tokens) == 4:
+                    return tokens, base + m.end(), head[m.end() :]
+        word = [cut] if cut and cut[1] is not None else []
+        if not more or _hopeless(tokens + word):
+            return tokens + word, 0, b""
+        keep = cut[0] if word else b"#" if cut else b""
+        base += len(head) - len(keep)
+        head = keep
+
+
+def _raster(fh: io.RawIOBase) -> tuple[tuple[int, int], Callable[[int], Iterator[np.ndarray]]]:
+    """Parse and check the header of the PGM file open in *fh*.
+
+    Returns the image's ``(height, width)`` and a function that reads its
+    raster in bands of a given number of rows, checking the rest of the file
+    as it goes. A regular file's size is checked against the header here:
+    a P5 file must hold the exact raster, a P2 file room for every sample.
+    """
+    st = os.fstat(fh.fileno())
+    size = st.st_size if stat.S_ISREG(st.st_mode) else None
+    tokens, pos, rest = _header(fh)
     tokens = iter(tokens)
     first = next(tokens, None)
     magic = first[1] if first else b""
@@ -100,59 +146,72 @@ def _read(fh: io.RawIOBase, size: int | None) -> np.ndarray:
     height, _ = _header_int(tokens, "height")
     if width < 1 or height < 1:
         raise PgmFormatError(f"invalid PGM dimensions {width}x{height}")
-    maxval, pos = _header_int(tokens, "maxval")
+    maxval, _ = _header_int(tokens, "maxval")
     if maxval != PEAK:
         raise PgmFormatError(f"unsupported maxval {maxval} (only {PEAK} accepted)")
-    if size is None:
-        # a pipe has no size to bound the raster by, so the rest is read whole
-        data = fh.read()
-        fh, size = io.BytesIO(data), len(head) + len(data)
 
     count = width * height
-    rest = head[pos:]
-    del head
     if magic == b"P5":
         # exactly one whitespace byte separates the header from the raster
         if not rest or rest[0] not in _WHITESPACE:
             raise PgmFormatError("missing whitespace after maxval")
-        found = size - pos - 1
-        if found != count:
+        if size is not None and (found := size - pos - 1) != count:
             raise PgmFormatError(f"expected {count} raster bytes, found {found}")
-        # the raster bytes in hand, then the rest read straight into the image
-        img = np.empty(count, np.uint8)
-        got = min(len(rest) - 1, count)
-        img[:got] = np.frombuffer(rest, np.uint8, got, offset=1)
-        while got < count and (k := fh.readinto(memoryview(img)[got:])):
-            got += k
-        if got != count or len(rest) - 1 > count or fh.read(1):
-            raise PgmFormatError(f"expected {count} raster bytes, the file changed while being read")
-        return img.reshape(height, width)
-
+        return (height, width), lambda rows: _binary(fh, rest[1:], height, width, size is not None, rows)
     # every ASCII value takes at least one digit and one separator, so a
     # header claiming more pixels than the file can hold is rejected
     # before anything is allocated
-    room = (size - pos + 1) // 2
-    if count > room:
+    if size is not None and count > (room := (size - pos + 1) // 2):
         raise PgmFormatError(
             f"{width}x{height} raster needs {count} values, file holds at most {room}"
         )
-    img = np.empty(count, np.uint8)
-    _read_ascii(fh, rest, img)
-    return img.reshape(height, width)
+    return (height, width), lambda rows: _ascii(fh, rest, height, width, rows)
 
 
-def _read_ascii(fh: io.RawIOBase, chunk: bytes, out: np.ndarray) -> None:
-    """Fill *out* in raster order from the P2 samples in *chunk* and the rest of *fh*.
+def _binary(fh: io.RawIOBase, rest: bytes, height: int, width: int, sized: bool, rows: int) -> Iterator[np.ndarray]:
+    """The P5 raster in bands of *rows* rows: the bytes in hand, *rest*, then *fh*.
+
+    A file whose size was checked is read straight into each band. On a pipe
+    a band grows only as its bytes arrive, so no header can make it allocate
+    more than the pipe has sent.
+    """
+    count = height * width
+    for top in range(0, height, rows):
+        need = min(rows, height - top) * width
+        if sized:
+            band = np.empty(need, np.uint8)
+            got = min(len(rest), need)
+            band[:got] = np.frombuffer(rest, np.uint8, got)
+            while got < need and (k := fh.readinto(memoryview(band)[got:])):
+                got += k
+        else:
+            band = bytearray(rest[:need])
+            while len(band) < need and (more := fh.read(min(need - len(band), _CHUNK))):
+                band += more
+            got = len(band)
+        rest = rest[need:]
+        if got < need:
+            found = "the file changed while being read" if sized else f"found {top * width + got}"
+            raise PgmFormatError(f"expected {count} raster bytes, {found}")
+        yield np.frombuffer(band, np.uint8).reshape(-1, width)
+    if rest or fh.read(1):
+        found = "the file changed while being read" if sized else "found more"
+        raise PgmFormatError(f"expected {count} raster bytes, {found}")
+
+
+def _ascii(fh: io.RawIOBase, chunk: bytes, height: int, width: int, rows: int) -> Iterator[np.ndarray]:
+    """The P2 raster in bands of *rows* rows, from the samples in *chunk* and the rest of *fh*.
 
     Each step scans the bytes carried from the step before and the next
     chunk. A comment or token that the chunk cuts carries over: an open
     comment as ``#``, a digit run as its last three digits (any digit
     before them is a zero, or the run is already an error), with
-    ``dropped`` counting the zeros left out.
+    ``dropped`` counting the zeros left out. A band grows as its samples
+    arrive and leaves once full; the last leaves at the end of the file.
     """
-    # int() refuses a longer number, zero padding included (0: no limit)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    pending, n, dropped = b"", 0, 0
+    limit = _digit_limit()
+    count, n, band_px = height * width, 0, rows * width
+    pending, dropped, band = b"", 0, bytearray()
     while True:
         # the scan starts between tokens, so a carried ``#`` opens a comment
         # while a carried ``0`` keeps ``0#c`` one token
@@ -165,23 +224,33 @@ def _read_ascii(fh: io.RawIOBase, chunk: bytes, out: np.ndarray) -> None:
                 buf, pending = buf[: m.start()], b"#"
             else:
                 partial = not buf[-1:].isspace()
-        n, dropped = _scan(buf + b" ", out, n, dropped, partial, limit)
+        sample, dropped = _scan(buf + b" ", count - n, dropped, partial, limit)
+        n += len(sample)
+        while len(sample):
+            take = band_px - len(band)
+            band += memoryview(sample[:take])
+            sample = sample[take:]
+            if len(band) == band_px:
+                yield np.frombuffer(band, np.uint8).reshape(rows, width)
+                band = bytearray()
         if partial:
             pending = buf[-3:].split()[-1]
         if not chunk:
             break
         chunk = fh.read(_CHUNK)
-    if n < out.size:
-        raise PgmFormatError(f"expected {out.size} decimal pixel values, found {n}")
+    if n < count:
+        raise PgmFormatError(f"expected {count} decimal pixel values, found {n}")
+    if band:
+        yield np.frombuffer(band, np.uint8).reshape(-1, width)
 
 
-def _scan(body: bytes, out: np.ndarray, n: int, dropped: int, partial: bool, limit: int) -> tuple[int, int]:
-    """Store the samples of *body* in ``out[n:]``; return the new fill and the next ``dropped``.
+def _scan(body: bytes, room: int, dropped: int, partial: bool, limit: int) -> tuple[np.ndarray, int]:
+    """The whole samples of *body*, at most *room* of them, as uint8, and the next ``dropped``.
 
     *body* starts with two whitespace bytes and ends with one, and *dropped*
     zeros precede its first digit run. A *partial* last run goes on in the
     next chunk: it is checked, since no later digit can mend it, but not
-    stored. A sample is valid exactly when ``int()`` takes it and gives at
+    returned. A sample is valid exactly when ``int()`` takes it and gives at
     most 255.
     """
     if b"#" in body:
@@ -215,12 +284,11 @@ def _scan(body: bytes, out: np.ndarray, n: int, dropped: int, partial: bool, lim
     # the samples sit at the last digit of each run
     sample = sample[digit[2:-1] > digit[3:]]
     whole = sample.size - partial
-    if n + whole > out.size:
+    if whole > room:
         raise PgmFormatError("trailing data after PGM raster")
     if sample.size and sample.max() > PEAK:
         raise PgmFormatError(f"bad PGM pixel value: {sample.max()} is over {PEAK}")
-    out[n : n + whole] = sample[:whole]
-    return n + whole, dropped
+    return sample[:whole].astype(np.uint8), dropped
 
 
 def write_pgm(path: str | os.PathLike, img, *, ascii_format: bool = False) -> None:
@@ -230,13 +298,19 @@ def write_pgm(path: str | os.PathLike, img, *, ascii_format: bool = False) -> No
     produce byte-identical files.
     """
     arr = as_gray(img)
-    h, w = arr.shape
     with open(path, "wb") as fh:
-        fh.write(f"P{2 if ascii_format else 5}\n{w} {h}\n255\n".encode())
+        _write(fh, arr.shape, [arr], ascii_format)
+
+
+def _write(fh: io.IOBase, shape: tuple[int, int], chunks: Iterable[np.ndarray], ascii_format: bool = False) -> None:
+    """Write a PGM of *shape* to *fh*, its raster from *chunks* of rows as they come."""
+    h, w = shape
+    fh.write(f"P{2 if ascii_format else 5}\n{w} {h}\n255\n".encode())
+    for chunk in chunks:
         if ascii_format:
             # a row at a time; tolist() yields Python ints, so no numpy scalar is formatted
-            for row in arr:
+            for row in chunk:
                 fh.write(" ".join(map(str, row.tolist())).encode() + b"\n")
         else:
             # the raster goes out from the array's own buffer, uncopied
-            fh.write(np.ascontiguousarray(arr).data)
+            fh.write(np.ascontiguousarray(chunk).data)

@@ -22,10 +22,13 @@ Each pass reads only the output of the previous pass, which makes
 per-pixel work order-independent. :func:`_drive` runs the passes as a
 pipeline over a stream of row chunks: each pass's restored rows reach the
 next pass one step later, and the blocks of one step go through the
-kernel stacked in one call. Both engines enter it through ``_run``,
-which checks the image and feeds cache-sized bands of rows for the frame
-engine (:func:`denoise`) or one row per chunk for the stream engine
-(:mod:`mrdenoise.stream`); every chunking gives the same result. The
+kernel stacked in one call. It takes cache-sized bands of rows for the
+frame engine (:func:`denoise`) and one row per chunk for the stream
+engine (:mod:`mrdenoise.stream`), as :func:`_chunk_rows` picks; every
+chunking gives the same result. The library enters it through ``_run``,
+which slices an image array into chunks and joins the output rows;
+``mrdenoise denoise`` feeds it bands read from the input file and writes
+each row as it leaves. The
 kernel, :func:`classify` and :func:`median_filter` read one window
 layout: the 25 views of a 2-pixel-padded frame, 3x3 at ``_W3``. The
 driver carries its blocks as uint8, as an 8-bit datapath would: the
@@ -666,20 +669,26 @@ def _drive(
             yield from np.split(rows, len(rows)) if ending == passes - 1 else [rows.copy()]
 
 
+def _chunk_rows(shape: tuple[int, int], rows: int = 0) -> int:
+    """Rows per chunk for driving an image of *shape*: *rows*, or with
+    ``rows=0`` bands of ``_BAND_PX // width`` rows (at least one), so each
+    kernel call's planes stay in cache. An image too small for the 5x5
+    window is a ValueError."""
+    if shape[0] < MIN_SIZE or shape[1] < MIN_SIZE:
+        raise ValueError(f"image must be at least {MIN_SIZE}x{MIN_SIZE}, got {shape}")
+    return rows or max(1, _BAND_PX // shape[1])
+
+
 def _run(
     img, cfg: PipelineConfig | None, rows: int = 0
 ) -> tuple[np.ndarray, list[dict[PixelClass, int]], list[dict[str, int]]]:
-    """Check *img* and drive it through every pass of *cfg* in chunks of *rows* rows.
-
-    ``rows=0`` picks bands of ``_BAND_PX // width`` rows (at least one), so
-    each kernel call's planes stay in cache. Returns the output image,
-    per-pass class counts and per-pass module counts.
+    """Check *img* and drive it through every pass of *cfg* in chunks of
+    :func:`_chunk_rows` rows. Returns the output image, per-pass class
+    counts and per-pass module counts.
     """
     arr = as_gray(img)
-    if arr.shape[0] < MIN_SIZE or arr.shape[1] < MIN_SIZE:
-        raise ValueError(f"image must be at least {MIN_SIZE}x{MIN_SIZE}, got {arr.shape}")
+    rows = _chunk_rows(arr.shape, rows)
     cfg = cfg or PipelineConfig()
-    rows = rows or max(1, _BAND_PX // arr.shape[1])
     chunks = (arr[r : r + rows] for r in range(0, arr.shape[0], rows))
     bins: list[np.ndarray] = []
     out = np.concatenate(list(_drive(chunks, cfg, bins)))

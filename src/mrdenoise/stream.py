@@ -1,9 +1,10 @@
 """Row-streaming engine: the frame pipeline's pass driver fed one row at a time.
 
-Both engines enter the pass driver through ``pipeline._run``, which
-checks the image; :func:`mrdenoise.pipeline.denoise` asks it for
-cache-sized bands of rows and this engine for one image row per chunk.
-It runs the passes as a pipeline, like the stages of a hardware
+Both engines drive the same pass driver, ``pipeline._drive``:
+:func:`mrdenoise.pipeline.denoise` feeds it cache-sized bands of rows and
+this engine one image row per chunk, from an array through
+``pipeline._run`` or, in ``mrdenoise denoise``, from the input file. It
+runs the passes as a pipeline, like the stages of a hardware
 chain: on each row step every pass works on the row the pass before it
 emitted on the previous step, and one kernel call restores the one-row
 blocks of all passes stacked together. Each pass holds its last four

@@ -1,11 +1,17 @@
+import contextlib
+import gc
 import os
+import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_image
+from perfbench.phantom import pgm_bytes
 
 from mrdenoise import (
     NoiseSpec,
@@ -215,6 +221,194 @@ class TestDenoise:
         assert run_cli("denoise", inp, out, "--stats", tmp_path / "missing" / "x.csv") == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+ENGINES = ["frame", "stream"]
+
+
+def fifo_feeder(fifo: Path, head: bytes, block: bytes = b"", blocks: int = 0):
+    """A started thread that writes *head* and then *blocks* copies of *block*
+    into *fifo*, and the list it appends to after each block it got out."""
+    written = []
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            fh.write(head)
+            for _ in range(blocks):
+                fh.write(block)
+                written.append(1)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer, written
+
+
+class TestFileToFile:
+    """``denoise`` reads its input in bands, writes each row as it leaves the
+    passes, and writes nothing when it fails."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_in_place_matches_a_fresh_output(self, tmp_path, sample, engine):
+        _, inp = sample
+        fresh = tmp_path / "fresh.pgm"
+        assert run_cli("denoise", inp, fresh, "--engine", engine) == 0
+        assert run_cli("denoise", inp, inp, "--engine", engine) == 0
+        assert inp.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["fresh.pgm", "in.pgm"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("via", ["link_to_link", "file_to_link"])
+    def test_in_place_through_a_symlink(self, tmp_path, engine, via):
+        # 64 x 64 outruns the header's first read, so an output opened
+        # straight over the input would cut the raster still to be read
+        inp, link, fresh = tmp_path / "in.pgm", tmp_path / "link.pgm", tmp_path / "fresh.pgm"
+        write_pgm(inp, random_image(74, 64, 64))
+        link.symlink_to(inp.name)
+        assert run_cli("denoise", inp, fresh, "--engine", engine) == 0
+        src = link if via == "link_to_link" else inp
+        assert run_cli("denoise", src, link, "--engine", engine) == 0
+        assert inp.read_bytes() == fresh.read_bytes()
+        assert link.is_symlink() and os.readlink(link) == inp.name
+        assert sorted(os.listdir(tmp_path)) == ["fresh.pgm", "in.pgm", "link.pgm"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_bad_raster_keeps_a_symlinked_output(self, tmp_path, capsys, engine):
+        text = pgm_bytes(random_image(75, 64, 64), ascii_format=True)
+        inp, out, link = tmp_path / "in.pgm", tmp_path / "out.pgm", tmp_path / "link.pgm"
+        inp.write_bytes(text[:-1] + b" 1x\n")
+        out.write_bytes(b"old")
+        link.symlink_to(out.name)
+        assert run_cli("denoise", inp, link, "--engine", engine) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == b"old"
+        assert link.is_symlink() and os.readlink(link) == out.name
+        assert sorted(os.listdir(tmp_path)) == ["in.pgm", "link.pgm", "out.pgm"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_output_mode_is_that_of_a_plain_open(self, tmp_path, sample, engine):
+        _, inp = sample
+        fresh, kept, ref = tmp_path / "fresh.pgm", tmp_path / "kept.pgm", tmp_path / "ref.pgm"
+        kept.write_bytes(b"old")
+        kept.chmod(0o604)
+        old = os.umask(0o027)
+        try:
+            with open(ref, "wb"):
+                pass
+            assert run_cli("denoise", inp, fresh, "--engine", engine) == 0
+            assert run_cli("denoise", inp, kept, "--engine", engine) == 0
+        finally:
+            os.umask(old)
+        # a new file gets 0o666 less the umask, an existing one keeps its mode
+        assert stat.S_IMODE(fresh.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode) == 0o640
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+        assert kept.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0, reason="only root may give a file away")
+    def test_replaced_output_keeps_its_owner(self, tmp_path, sample):
+        _, inp = sample
+        out = tmp_path / "out.pgm"
+        out.write_bytes(b"old")
+        os.chown(out, 1234, 5678)
+        assert run_cli("denoise", inp, out) == 0
+        assert (out.stat().st_uid, out.stat().st_gid) == (1234, 5678)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_fifo_output_is_written_straight(self, tmp_path, sample, engine):
+        img, inp = sample
+        fifo = tmp_path / "out.pgm"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert run_cli("denoise", inp, fifo, "--engine", engine) == 0
+        finally:
+            reader.join(timeout=30)
+        expected = tmp_path / "expected.pgm"
+        write_pgm(expected, denoise(img))
+        assert got == [expected.read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("fault", ["truncated", "bad_last_row"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_bad_raster_writes_nothing(self, tmp_path, capsys, engine, fault, existing):
+        # 600 rows of 64 are two frame bands, so both engines have written
+        # rows when the fault at the end of the raster is found
+        text = pgm_bytes(random_image(72, 600, 64), ascii_format=True)
+        last_row = text.rindex(b"\n", 0, len(text) - 1) + 1
+        inp = tmp_path / "in.pgm"
+        inp.write_bytes(text[:last_row] if fault == "truncated" else text[:-1] + b" 1x\n")
+        out = tmp_path / "out.pgm"
+        if existing:
+            out.write_bytes(b"old")
+        before = sorted(os.listdir(tmp_path))
+        assert run_cli("denoise", inp, out, "--engine", engine) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(os.listdir(tmp_path)) == before
+        assert not existing or out.read_bytes() == b"old"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unwritable_stats_leaves_the_output(self, tmp_path, sample, engine):
+        # --stats names a directory: only its parent is checked up front, so
+        # the error comes after the image, whose file must stay as it was
+        _, inp = sample
+        out = tmp_path / "out.pgm"
+        out.write_bytes(b"old")
+        (tmp_path / "stats").mkdir()
+        before = sorted(os.listdir(tmp_path))
+        assert run_cli("denoise", inp, out, "--engine", engine, "--stats", tmp_path / "stats") == 1
+        assert sorted(os.listdir(tmp_path)) == before
+        assert out.read_bytes() == b"old"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "head, block, blocks",
+        [
+            (b"P5 1099511627776 1 255\n" + bytes(10), b"", 0),
+            (b"P5\n64 64\n255\n", bytes(65536), 256),
+            (b"P2\n64 64\n255\n", b"7 " * 32768, 256),
+        ],
+        ids=["huge_width", "endless_p5", "endless_p2"],
+    )
+    def test_hostile_pipe_exits_1(self, tmp_path, capsys, engine, head, block, blocks):
+        # a pipe's bands grow only as bytes arrive, and the raster is
+        # refused at its first byte or sample too many: no MemoryError, and
+        # the writer is cut off long before its last block
+        fifo = tmp_path / "in.pgm"
+        os.mkfifo(fifo)
+        writer, written = fifo_feeder(fifo, head, block, blocks)
+        try:
+            assert run_cli("denoise", fifo, tmp_path / "out.pgm", "--engine", engine) == 1
+        finally:
+            writer.join(timeout=30)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not writer.is_alive()
+        assert len(written) <= blocks // 64
+        assert os.listdir(tmp_path) == ["in.pgm"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("ascii_format", [False, True], ids=["P5", "P2"])
+    def test_peak_does_not_grow_with_height(self, tmp_path, engine, ascii_format):
+        # a band or a row is in flight at a time, so 64 x 20 000 peaks within
+        # 10 % of 64 x 2 500; holding the frame, the peak grows with the height.
+        # The stream engine runs some 6x slower traced, so it gets half those
+        # heights, which still grow a frame-holding peak 7x
+        inp, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_pgm(inp, random_image(73, 16, 64))
+        assert run_cli("denoise", inp, out, "--engine", engine) == 0  # caches warm
+        peaks = []
+        for height in (2500, 20000) if engine == "frame" else (1250, 10000):
+            write_pgm(inp, random_image(height, height, 64), ascii_format=ascii_format)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert run_cli("denoise", inp, out, "--engine", engine, "--stats", tmp_path / "s.csv") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], f"peaks {peaks} bytes"
 
 
 class TestConfigFile:

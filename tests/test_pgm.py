@@ -279,7 +279,7 @@ class TestReader:
 
     @pytest.mark.parametrize("ascii_format", [False, True], ids=["P5", "P2"])
     def test_reads_from_a_pipe(self, tmp_path, ascii_format):
-        # a pipe has no size to bound the raster by; it is read whole
+        # a pipe has no size to bound the raster by; its band grows as bytes arrive
         img = random_image(8, 9, 11)
         fifo = tmp_path / "p.pgm"
         os.mkfifo(fifo)
@@ -315,6 +315,34 @@ class TestReader:
             writer.join(timeout=30)
         assert not writer.is_alive()
         assert len(written) < blocks
+
+    @pytest.mark.parametrize("prefix, fill", [(b"", b" "), (b"#", b"\0")], ids=["whitespace", "comment"])
+    def test_holds_no_more_of_an_endless_header_than_one_read(self, tmp_path, prefix, fill):
+        # a pipe of only whitespace, or one comment whose line never ends,
+        # never completes a token; read_pgm keeps only what a cut token or
+        # an open comment needs, not every byte until the pipe ends
+        fifo = tmp_path / "h.pgm"
+        os.mkfifo(fifo)
+        block = fill * 65536
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(prefix)
+                for _ in range(256):  # 16 MiB
+                    fh.write(block)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        tracemalloc.start()
+        try:
+            with pytest.raises(PgmFormatError, match="magic"):
+                read_pgm(fifo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert peak < 2**20, f"peak {peak} bytes"
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -427,6 +455,51 @@ class TestChunkedAscii:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pgm, "_CHUNK", 13)
             assert np.array_equal(read_pgm(path), img)
+
+
+class TestBands:
+    """The raster in bands of any height joins into the image ``read_pgm`` returns."""
+
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+    @pytest.mark.parametrize("ascii_format", [False, True], ids=["P5", "P2"])
+    @pytest.mark.parametrize("rows", [1, 3, 7, 11, 40])
+    def test_bands_join_into_the_image(self, tmp_path, ascii_format, pipe, rows):
+        img = random_image(9, 11, 13)
+        path = tmp_path / "b.pgm"
+        data = pgm_bytes(img, ascii_format)
+        if pipe:
+            os.mkfifo(path)
+            writer = threading.Thread(target=path.write_bytes, args=(data,))
+            writer.start()
+        else:
+            path.write_bytes(data)
+        # a chunk of 5 bytes cuts samples and bands at every offset
+        with pytest.MonkeyPatch.context() as mp, open(path, "rb", buffering=0) as fh:
+            mp.setattr(pgm, "_CHUNK", 5)
+            shape, bands = pgm._raster(fh)
+            got = list(bands(rows))
+        if pipe:
+            writer.join()
+        assert shape == img.shape
+        assert [len(b) for b in got] == [min(rows, 11 - top) for top in range(0, 11, rows)]
+        assert all(b.dtype == np.uint8 for b in got)
+        assert np.array_equal(np.concatenate(got), img)
+
+    @pytest.mark.parametrize("ascii_format", [False, True], ids=["P5", "P2"])
+    def test_refuses_a_pipe_raster_that_runs_on(self, tmp_path, ascii_format):
+        # a pipe has no size to check the header against: the band that
+        # should end the raster finds the next byte or sample and stops
+        img = random_image(10, 6, 5)
+        path = tmp_path / "r.pgm"
+        os.mkfifo(path)
+        extra = b"7 " if ascii_format else b"\0"
+        writer = threading.Thread(target=path.write_bytes, args=(pgm_bytes(img, ascii_format) + extra,))
+        writer.start()
+        try:
+            with pytest.raises(PgmFormatError, match="trailing data" if ascii_format else "found more"):
+                read_pgm(path)
+        finally:
+            writer.join()
 
 
 class TestMaskSerialization:
