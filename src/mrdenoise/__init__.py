@@ -18,7 +18,6 @@ from .detect import (
     type2_edge,
 )
 from .image import (
-    INTENSITY_LEVELS,
     PEAK,
     as_gray,
     mse,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "INTENSITY_LEVELS",
     "PEAK",
     "as_gray",
     "mse",

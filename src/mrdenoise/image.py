@@ -13,15 +13,13 @@ import operator
 import numpy as np
 
 __all__ = [
-    "INTENSITY_LEVELS",
     "PEAK",
     "as_gray",
     "mse",
     "psnr",
 ]
 
-INTENSITY_LEVELS = 256
-PEAK = INTENSITY_LEVELS - 1
+PEAK = 255
 
 
 def _require_int(name: str, value) -> int:

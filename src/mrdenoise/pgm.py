@@ -1,14 +1,14 @@
 """Bit-exact PGM image I/O: binary ``P5`` and ASCII ``P2``, maxval 255.
 
-One reader serves every caller and never holds the whole file. It parses
-and checks the header from the first bytes read, then reads the raster in
-bands of rows straight from the open file: :func:`read_pgm` asks for one
-band of all rows, ``mrdenoise denoise`` for cache-sized bands or single
-rows. A P5 band is read into with ``readinto``; a P2 band fills from a
-numpy scan over chunks of ``_CHUNK`` bytes. A pipe has no size to check
-the header against, so its bands grow only as its bytes arrive, its
-header holds only the token in hand, and a header that cannot pass is
-refused unread.
+One reader serves every caller and never holds the whole file. It checks
+each header field as its token arrives, then reads the raster in chunks of
+``_CHUNK`` bytes into bands of rows: :func:`read_pgm` asks for one band of
+all rows, ``mrdenoise denoise`` for cache-sized bands or single rows. A P5
+chunk is raster bytes as read; a P2 chunk goes through a numpy digit scan.
+A band grows only as its samples arrive and a header holds only the token
+in hand, so a pipe, which has no size to check the header against, never
+makes the reader hold more than it has sent, and a header that cannot pass
+is refused unread.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import re
 import stat
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -38,7 +39,7 @@ _COMMENT = re.compile(rb"(?<![^ \t\n\r\x0b\x0c])#[^\n\r]*")
 _KIND = bytes(0 if b in _WHITESPACE else 1 if 48 <= b <= 57 else 2 for b in range(256))
 # each ASCII digit's value, and 0 for any other byte
 _DIGIT = bytes(b - 48 if 48 <= b <= 57 else 0 for b in range(256))
-# P2 raster bytes read per numpy scan, and P5 bytes per read of a pipe.
+# raster bytes per read, of either format; a P2 chunk is one numpy scan.
 # Each scan costs some 20 us of calls and about 12 bytes of temporaries per
 # chunk byte. read_pgm of a 128x128 P2 phantom (56 KB; 2-CPU Xeon, numpy
 # 2.4.6) took 2.1 / 1.5 / 1.1 / 0.9 ms at 1 / 2 / 4 / 8 KiB, peaking at
@@ -52,42 +53,17 @@ class PgmFormatError(ValueError):
     """Raised for malformed or unsupported PGM content."""
 
 
-def _header_int(tokens: Iterator[re.Match], what: str) -> tuple[int, int]:
-    """The next header token as an integer, and the offset just past it."""
-    m = next(tokens, None)
-    if m is None:
-        raise PgmFormatError("unexpected end of file in PGM header")
-    # int() alone would also take a sign or an underscore, which PGM forbids
-    if m[1].isdigit():
-        try:
-            return int(m[1]), m.end()
-        except ValueError:  # more digits than int() converts
-            pass
-    raise PgmFormatError(f"invalid {what} in PGM header: {m[1][:16]!r}")
-
-
 def read_pgm(path: str | os.PathLike) -> np.ndarray:
     """Read a P5 or P2 PGM file into a uint8 image array.
 
     Only maxval 255 is accepted; anything else is a format error.
     """
-    # unbuffered: the reads below are chunk-sized, and a P5 raster goes
-    # straight into the image
+    # unbuffered: every read below asks for a whole chunk, which a buffer
+    # would only copy once more
     with open(path, "rb", buffering=0) as fh:
         (height, _), bands = _raster(fh)
         (img,) = bands(height)
         return img
-
-
-def _hopeless(tokens: list[re.Match]) -> bool:
-    """Whether header tokens, the last maybe cut short, can no longer pass: a
-    magic that does not start ``P5`` or ``P2``, or a number not all digits or
-    longer than ``int()`` converts."""
-    magic, *numbers = [m[1] for m in tokens] or [b""]
-    limit = _digit_limit()
-    return not (b"P5".startswith(magic) or b"P2".startswith(magic)) or not all(
-        n.isdigit() and not 0 < limit < len(n) for n in numbers
-    )
 
 
 def _digit_limit() -> int:
@@ -95,17 +71,48 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _header(fh: io.RawIOBase) -> tuple[list[re.Match], int, bytes]:
-    """The header tokens of the file open in *fh*, the file offset just past
-    the last, and the bytes read beyond it.
+# the header's fields in file order
+_FIELDS = ("magic", "width", "height", "maxval")
 
-    There are four tokens unless the file ends first or the tokens in hand,
-    the last maybe cut short, can no longer pass; the offset and the bytes
-    are then of no use. Between reads only a token the read cut short is
-    kept, and an open comment only as its ``#``, so a pipe of whitespace or
-    of one endless comment holds one read's bytes.
+
+def _field(fields: list, token: bytes, whole: bool = True) -> None:
+    """Check *token* as the header field after *fields*, and append its value if *whole*.
+
+    A token that a read cut short may still grow, so it raises only once no
+    byte after it could make it pass. The dimensions are checked with the
+    height, and the maxval must be 255.
     """
-    head, base, tokens = b"", 0, []
+    what = _FIELDS[len(fields)]
+    if what == "magic":
+        if not (token in (b"P5", b"P2") if whole else b"P5".startswith(token) or b"P2".startswith(token)):
+            raise PgmFormatError(f"unsupported PGM magic {token[:16]!r} (expected P5 or P2)")
+    # int() alone would also take a sign or an underscore, which PGM forbids.
+    # It refuses more digits than its limit; with no limit set, CPython's
+    # default of 4300 stands in, or a piped number would be held however
+    # long it grew
+    elif not token.isdigit() or len(token) > (_digit_limit() or 4300):
+        raise PgmFormatError(f"invalid {what} in PGM header: {token[:16]!r}")
+    if not whole:
+        return
+    value = token if what == "magic" else int(token)
+    if what == "height" and (fields[1] < 1 or value < 1):
+        raise PgmFormatError(f"invalid PGM dimensions {fields[1]}x{value}")
+    if what == "maxval" and value != PEAK:
+        raise PgmFormatError(f"unsupported maxval {value} (only {PEAK} accepted)")
+    fields.append(value)
+
+
+def _header(fh: io.RawIOBase) -> tuple[bytes, int, int, int, bytes]:
+    """The magic, width and height of the PGM file open in *fh*, the file
+    offset just past its maxval, and the bytes read beyond that.
+
+    Each field is checked as its token completes, and a token a read cut
+    short as soon as it can no longer pass, so the first bad field raises.
+    Between reads only a cut token is kept, and an open comment only as its
+    ``#``, so a pipe of whitespace, of one endless comment or of one endless
+    number holds about one read's bytes.
+    """
+    head, base, fields = b"", 0, []
     while True:
         more = fh.read(max(_CHUNK, len(head)))
         head += more
@@ -115,13 +122,18 @@ def _header(fh: io.RawIOBase) -> tuple[list[re.Match], int, bytes]:
                 cut = m
                 break
             if m[1] is not None:
-                tokens.append(m)
-                if len(tokens) == 4:
-                    return tokens, base + m.end(), head[m.end() :]
-        word = [cut] if cut and cut[1] is not None else []
-        if not more or _hopeless(tokens + word):
-            return tokens + word, 0, b""
-        keep = cut[0] if word else b"#" if cut else b""
+                _field(fields, m[1])
+                if len(fields) == len(_FIELDS):
+                    magic, width, height, _ = fields
+                    return magic, width, height, base + m.end(), head[m.end() :]
+        if not more:
+            if not fields:  # an empty file, or one of whitespace and comments
+                _field(fields, b"")
+            raise PgmFormatError("unexpected end of file in PGM header")
+        keep = b"#" if cut else b""
+        if cut and cut[1] is not None:
+            _field(fields, cut[1], whole=False)
+            keep = cut[0]
         base += len(head) - len(keep)
         head = keep
 
@@ -136,20 +148,7 @@ def _raster(fh: io.RawIOBase) -> tuple[tuple[int, int], Callable[[int], Iterator
     """
     st = os.fstat(fh.fileno())
     size = st.st_size if stat.S_ISREG(st.st_mode) else None
-    tokens, pos, rest = _header(fh)
-    tokens = iter(tokens)
-    first = next(tokens, None)
-    magic = first[1] if first else b""
-    if magic not in (b"P5", b"P2"):
-        raise PgmFormatError(f"unsupported PGM magic {magic[:16]!r} (expected P5 or P2)")
-    width, _ = _header_int(tokens, "width")
-    height, _ = _header_int(tokens, "height")
-    if width < 1 or height < 1:
-        raise PgmFormatError(f"invalid PGM dimensions {width}x{height}")
-    maxval, _ = _header_int(tokens, "maxval")
-    if maxval != PEAK:
-        raise PgmFormatError(f"unsupported maxval {maxval} (only {PEAK} accepted)")
-
+    magic, width, height, pos, rest = _header(fh)
     count = width * height
     if magic == b"P5":
         # exactly one whitespace byte separates the header from the raster
@@ -157,61 +156,58 @@ def _raster(fh: io.RawIOBase) -> tuple[tuple[int, int], Callable[[int], Iterator
             raise PgmFormatError("missing whitespace after maxval")
         if size is not None and (found := size - pos - 1) != count:
             raise PgmFormatError(f"expected {count} raster bytes, found {found}")
-        return (height, width), lambda rows: _binary(fh, rest[1:], height, width, size is not None, rows)
-    # every ASCII value takes at least one digit and one separator, so a
-    # header claiming more pixels than the file can hold is rejected
-    # before anything is allocated
-    if size is not None and count > (room := (size - pos + 1) // 2):
-        raise PgmFormatError(
-            f"{width}x{height} raster needs {count} values, file holds at most {room}"
-        )
-    return (height, width), lambda rows: _ascii(fh, rest, height, width, rows)
+        samples, what = chain((rest[1:],), iter(lambda: fh.read(_CHUNK), b"")), "raster bytes"
+    else:
+        # every ASCII value takes at least one digit and one separator, so a
+        # header claiming more pixels than the file can hold is rejected
+        # before anything is allocated
+        if size is not None and count > (room := (size - pos + 1) // 2):
+            raise PgmFormatError(
+                f"{width}x{height} raster needs {count} values, file holds at most {room}"
+            )
+        samples, what = _ascii(fh, rest, count), "decimal pixel values"
+    return (height, width), lambda rows: _bands(samples, count, width, rows, what)
 
 
-def _binary(fh: io.RawIOBase, rest: bytes, height: int, width: int, sized: bool, rows: int) -> Iterator[np.ndarray]:
-    """The P5 raster in bands of *rows* rows: the bytes in hand, *rest*, then *fh*.
+def _bands(samples: Iterable, count: int, width: int, rows: int, what: str) -> Iterator[np.ndarray]:
+    """The raster in bands of *rows* rows, filled from the chunks of uint8
+    *samples* as they arrive; the last band leaves when the chunks end.
 
-    A file whose size was checked is read straight into each band. On a pipe
-    a band grows only as its bytes arrive, so no header can make it allocate
-    more than the pipe has sent.
+    A band grows only as its samples arrive, so no header can make it
+    allocate more than the input has sent. The raster must hold exactly
+    *count* samples, which an error calls *what*.
     """
-    count = height * width
-    for top in range(0, height, rows):
-        need = min(rows, height - top) * width
-        if sized:
-            band = np.empty(need, np.uint8)
-            got = min(len(rest), need)
-            band[:got] = np.frombuffer(rest, np.uint8, got)
-            while got < need and (k := fh.readinto(memoryview(band)[got:])):
-                got += k
-        else:
-            band = bytearray(rest[:need])
-            while len(band) < need and (more := fh.read(min(need - len(band), _CHUNK))):
-                band += more
-            got = len(band)
-        rest = rest[need:]
-        if got < need:
-            found = "the file changed while being read" if sized else f"found {top * width + got}"
-            raise PgmFormatError(f"expected {count} raster bytes, {found}")
+    band_px, band, n = rows * width, bytearray(), 0
+    for chunk in samples:
+        n += len(chunk)
+        if n > count:
+            raise PgmFormatError(f"expected {count} {what}, found more")
+        view = memoryview(chunk)
+        while view:
+            take = band_px - len(band)
+            band += view[:take]
+            view = view[take:]
+            if len(band) == band_px:
+                yield np.frombuffer(band, np.uint8).reshape(rows, width)
+                band = bytearray()
+    if n < count:
+        raise PgmFormatError(f"expected {count} {what}, found {n}")
+    if band:
         yield np.frombuffer(band, np.uint8).reshape(-1, width)
-    if rest or fh.read(1):
-        found = "the file changed while being read" if sized else "found more"
-        raise PgmFormatError(f"expected {count} raster bytes, {found}")
 
 
-def _ascii(fh: io.RawIOBase, chunk: bytes, height: int, width: int, rows: int) -> Iterator[np.ndarray]:
-    """The P2 raster in bands of *rows* rows, from the samples in *chunk* and the rest of *fh*.
+def _ascii(fh: io.RawIOBase, chunk: bytes, count: int) -> Iterator[np.ndarray]:
+    """The samples of a P2 raster, a chunk at a time: those in *chunk*, then the rest of *fh*.
 
     Each step scans the bytes carried from the step before and the next
     chunk. A comment or token that the chunk cuts carries over: an open
     comment as ``#``, a digit run as its last three digits (any digit
     before them is a zero, or the run is already an error), with
-    ``dropped`` counting the zeros left out. A band grows as its samples
-    arrive and leaves once full; the last leaves at the end of the file.
+    ``dropped`` counting the zeros left out. A sample past the first
+    *count* is trailing data.
     """
     limit = _digit_limit()
-    count, n, band_px = height * width, 0, rows * width
-    pending, dropped, band = b"", 0, bytearray()
+    n, pending, dropped = 0, b"", 0
     while True:
         # the scan starts between tokens, so a carried ``#`` opens a comment
         # while a carried ``0`` keeps ``0#c`` one token
@@ -226,22 +222,12 @@ def _ascii(fh: io.RawIOBase, chunk: bytes, height: int, width: int, rows: int) -
                 partial = not buf[-1:].isspace()
         sample, dropped = _scan(buf + b" ", count - n, dropped, partial, limit)
         n += len(sample)
-        while len(sample):
-            take = band_px - len(band)
-            band += memoryview(sample[:take])
-            sample = sample[take:]
-            if len(band) == band_px:
-                yield np.frombuffer(band, np.uint8).reshape(rows, width)
-                band = bytearray()
+        yield sample
         if partial:
             pending = buf[-3:].split()[-1]
         if not chunk:
-            break
+            return
         chunk = fh.read(_CHUNK)
-    if n < count:
-        raise PgmFormatError(f"expected {count} decimal pixel values, found {n}")
-    if band:
-        yield np.frombuffer(band, np.uint8).reshape(-1, width)
 
 
 def _scan(body: bytes, room: int, dropped: int, partial: bool, limit: int) -> tuple[np.ndarray, int]:

@@ -393,14 +393,16 @@ class TestFileToFile:
     def test_peak_does_not_grow_with_height(self, tmp_path, engine, ascii_format):
         # a band or a row is in flight at a time, so 64 x 20 000 peaks within
         # 10 % of 64 x 2 500; holding the frame, the peak grows with the height.
-        # The stream engine runs some 6x slower traced, so it gets half those
-        # heights, which still grow a frame-holding peak 7x
+        # The stream engine's time goes with its row count, one kernel call a
+        # row, so it gets 256 x 800 against 256 x 100, which still doubles a
+        # frame-holding peak
+        width, heights = (64, (2500, 20000)) if engine == "frame" else (256, (100, 800))
         inp, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
         write_pgm(inp, random_image(73, 16, 64))
         assert run_cli("denoise", inp, out, "--engine", engine) == 0  # caches warm
         peaks = []
-        for height in (2500, 20000) if engine == "frame" else (1250, 10000):
-            write_pgm(inp, random_image(height, height, 64), ascii_format=ascii_format)
+        for height in heights:
+            write_pgm(inp, random_image(height, height, width), ascii_format=ascii_format)
             gc.collect()
             tracemalloc.start()
             try:

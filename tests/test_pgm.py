@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from perfbench.phantom import pgm_bytes, rvin, synthetic_mr_slice
 
 from mrdenoise import PgmFormatError, gray_to_mask, mask_to_gray, pgm, read_mask, read_pgm, write_mask, write_pgm
-from mrdenoise.pgm import _TOKEN, _header_int
+from mrdenoise.pgm import _TOKEN
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -46,6 +46,23 @@ class OracleScanner:
         return data[i:j]
 
 
+def oracle_header_int(tokens, what: str) -> tuple[int, int]:
+    """The next header token as an integer, and the offset just past it.
+
+    The reader's rule, written out here so that the oracle shares no code
+    with the reader it checks: ASCII digits that ``int()`` converts.
+    """
+    m = next(tokens, None)
+    if m is None:
+        raise PgmFormatError("unexpected end of file in PGM header")
+    if m[1].isdigit():
+        try:
+            return int(m[1]), m.end()
+        except ValueError:  # more digits than int() converts
+            pass
+    raise PgmFormatError(f"invalid {what} in PGM header")
+
+
 def oracle_read(data: bytes) -> np.ndarray:
     """The whole-file reader the chunked one replaced, kept as its reference.
 
@@ -56,11 +73,11 @@ def oracle_read(data: bytes) -> np.ndarray:
     first = next(tokens, None)
     if (first[1] if first else b"") not in (b"P5", b"P2"):
         raise PgmFormatError("magic")
-    width, _ = _header_int(tokens, "width")
-    height, _ = _header_int(tokens, "height")
+    width, _ = oracle_header_int(tokens, "width")
+    height, _ = oracle_header_int(tokens, "height")
     if width < 1 or height < 1:
         raise PgmFormatError("dimensions")
-    maxval, pos = _header_int(tokens, "maxval")
+    maxval, pos = oracle_header_int(tokens, "maxval")
     if maxval != 255:
         raise PgmFormatError("maxval")
     count = width * height
@@ -175,6 +192,19 @@ class TestRoundtrip:
         for view in (img, img[::2, ::-3]):
             write_pgm(path, view, ascii_format=ascii_format)
             assert path.read_bytes() == pgm_bytes(view, ascii_format)
+
+
+@contextlib.contextmanager
+def no_int_digit_limit():
+    """int() converts numbers of any length inside the block, as under PYTHONINTMAXSTRDIGITS=0."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def traced_peak(fn) -> int:
@@ -316,26 +346,35 @@ class TestReader:
         assert not writer.is_alive()
         assert len(written) < blocks
 
-    @pytest.mark.parametrize("prefix, fill", [(b"", b" "), (b"#", b"\0")], ids=["whitespace", "comment"])
-    def test_holds_no_more_of_an_endless_header_than_one_read(self, tmp_path, prefix, fill):
-        # a pipe of only whitespace, or one comment whose line never ends,
-        # never completes a token; read_pgm keeps only what a cut token or
-        # an open comment needs, not every byte until the pipe ends
+    @pytest.mark.parametrize(
+        "prefix, fill, end, field",
+        [(b"", b" ", b"", "magic"), (b"#", b"\0", b"", "magic"), (b"P5 ", b"1", b"x", "width")],
+        ids=["whitespace", "comment", "digits"],
+    )
+    def test_holds_no_more_of_an_endless_header_than_one_read(self, tmp_path, prefix, fill, end, field):
+        # a pipe of only whitespace, one comment whose line never ends, or
+        # one number whose digits never end never completes a token; read_pgm
+        # keeps only what a cut token or an open comment needs, not every byte
+        # until the pipe ends. int() converts a number of any length here,
+        # as on a Python without a digit limit; the digits end in a byte no
+        # number takes, so a reader that held them all fails fast instead of
+        # converting 16 MiB of digits
         fifo = tmp_path / "h.pgm"
         os.mkfifo(fifo)
         block = fill * 65536
 
         def write():
-            with open(fifo, "wb") as fh:
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
                 fh.write(prefix)
                 for _ in range(256):  # 16 MiB
                     fh.write(block)
+                fh.write(end)
 
         writer = threading.Thread(target=write)
         writer.start()
         tracemalloc.start()
         try:
-            with pytest.raises(PgmFormatError, match="magic"):
+            with no_int_digit_limit(), pytest.raises(PgmFormatError, match=field):
                 read_pgm(fifo)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
