@@ -143,10 +143,14 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def _require_output_dirs(*paths) -> None:
-    """Refuse, before any input is read, an output path whose directory is missing."""
-    for parent in (Path(p).parent for p in paths if p):
+    """Refuse, before any input is read, an output path whose directory is
+    missing, or two that name one file, which would keep only the last written."""
+    paths = [p for p in paths if p]
+    for parent in (Path(p).parent for p in paths):
         if not parent.is_dir():
             raise FileNotFoundError(f"output directory not found: {parent}")
+    if len({os.path.realpath(p) for p in paths}) < len(paths):
+        raise ValueError(f"outputs {' and '.join(paths)} name one file")
 
 
 def _cmd_inject(args) -> int:

@@ -5,10 +5,11 @@ each header field as its token arrives, then reads the raster in chunks of
 ``_CHUNK`` bytes into bands of rows: :func:`read_pgm` asks for one band of
 all rows, ``mrdenoise denoise`` for cache-sized bands or single rows. A P5
 chunk is raster bytes as read; a P2 chunk goes through a numpy digit scan.
-A band grows only as its samples arrive and a header holds only the token
-in hand, so a pipe, which has no size to check the header against, never
-makes the reader hold more than it has sent, and a header that cannot pass
-is refused unread.
+One band filler counts the samples of both formats, and one digit bound
+holds every header number and P2 sample. A band grows only as its samples
+arrive and the reader holds only the token in hand, so a pipe, which has no
+size to check the header against, never makes it hold more than it has
+sent, and a header that cannot pass is refused unread.
 """
 
 from __future__ import annotations
@@ -66,9 +67,11 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
         return img
 
 
-def _digit_limit() -> int:
-    """The most digits ``int()`` converts, zero padding included (0: no limit)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+def _max_digits() -> int:
+    """The most digits of a PGM number, zero padding included: ``int()``'s
+    limit, or CPython's default of 4300 where it has none, so that a piped
+    number is never held however long it grows."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 # the header's fields in file order
@@ -86,11 +89,8 @@ def _field(fields: list, token: bytes, whole: bool = True) -> None:
     if what == "magic":
         if not (token in (b"P5", b"P2") if whole else b"P5".startswith(token) or b"P2".startswith(token)):
             raise PgmFormatError(f"unsupported PGM magic {token[:16]!r} (expected P5 or P2)")
-    # int() alone would also take a sign or an underscore, which PGM forbids.
-    # It refuses more digits than its limit; with no limit set, CPython's
-    # default of 4300 stands in, or a piped number would be held however
-    # long it grew
-    elif not token.isdigit() or len(token) > (_digit_limit() or 4300):
+    # int() alone would also take a sign or an underscore, which PGM forbids
+    elif not token.isdigit() or len(token) > _max_digits():
         raise PgmFormatError(f"invalid {what} in PGM header: {token[:16]!r}")
     if not whole:
         return
@@ -102,9 +102,9 @@ def _field(fields: list, token: bytes, whole: bool = True) -> None:
     fields.append(value)
 
 
-def _header(fh: io.RawIOBase) -> tuple[bytes, int, int, int, bytes]:
-    """The magic, width and height of the PGM file open in *fh*, the file
-    offset just past its maxval, and the bytes read beyond that.
+def _header(fh: io.RawIOBase) -> tuple[bytes, int, int, bytes]:
+    """The magic, width and height of the PGM file open in *fh*, and the
+    bytes read beyond its maxval.
 
     Each field is checked as its token completes, and a token a read cut
     short as soon as it can no longer pass, so the first bad field raises.
@@ -112,7 +112,7 @@ def _header(fh: io.RawIOBase) -> tuple[bytes, int, int, int, bytes]:
     ``#``, so a pipe of whitespace, of one endless comment or of one endless
     number holds about one read's bytes.
     """
-    head, base, fields = b"", 0, []
+    head, fields = b"", []
     while True:
         more = fh.read(max(_CHUNK, len(head)))
         head += more
@@ -125,17 +125,15 @@ def _header(fh: io.RawIOBase) -> tuple[bytes, int, int, int, bytes]:
                 _field(fields, m[1])
                 if len(fields) == len(_FIELDS):
                     magic, width, height, _ = fields
-                    return magic, width, height, base + m.end(), head[m.end() :]
+                    return magic, width, height, head[m.end() :]
         if not more:
             if not fields:  # an empty file, or one of whitespace and comments
                 _field(fields, b"")
             raise PgmFormatError("unexpected end of file in PGM header")
-        keep = b"#" if cut else b""
+        head = b"#" if cut else b""
         if cut and cut[1] is not None:
             _field(fields, cut[1], whole=False)
-            keep = cut[0]
-        base += len(head) - len(keep)
-        head = keep
+            head = cut[0]
 
 
 def _raster(fh: io.RawIOBase) -> tuple[tuple[int, int], Callable[[int], Iterator[np.ndarray]]]:
@@ -147,25 +145,26 @@ def _raster(fh: io.RawIOBase) -> tuple[tuple[int, int], Callable[[int], Iterator
     a P5 file must hold the exact raster, a P2 file room for every sample.
     """
     st = os.fstat(fh.fileno())
-    size = st.st_size if stat.S_ISREG(st.st_mode) else None
-    magic, width, height, pos, rest = _header(fh)
+    magic, width, height, rest = _header(fh)
+    # the bytes after the maxval; a pipe has no size
+    left = st.st_size - fh.tell() + len(rest) if stat.S_ISREG(st.st_mode) else None
     count = width * height
     if magic == b"P5":
         # exactly one whitespace byte separates the header from the raster
         if not rest or rest[0] not in _WHITESPACE:
             raise PgmFormatError("missing whitespace after maxval")
-        if size is not None and (found := size - pos - 1) != count:
+        if left is not None and (found := left - 1) != count:
             raise PgmFormatError(f"expected {count} raster bytes, found {found}")
         samples, what = chain((rest[1:],), iter(lambda: fh.read(_CHUNK), b"")), "raster bytes"
     else:
         # every ASCII value takes at least one digit and one separator, so a
         # header claiming more pixels than the file can hold is rejected
         # before anything is allocated
-        if size is not None and count > (room := (size - pos + 1) // 2):
+        if left is not None and count > (room := (left + 1) // 2):
             raise PgmFormatError(
                 f"{width}x{height} raster needs {count} values, file holds at most {room}"
             )
-        samples, what = _ascii(fh, rest, count), "decimal pixel values"
+        samples, what = _ascii(fh, rest), "decimal pixel values"
     return (height, width), lambda rows: _bands(samples, count, width, rows, what)
 
 
@@ -196,18 +195,16 @@ def _bands(samples: Iterable, count: int, width: int, rows: int, what: str) -> I
         yield np.frombuffer(band, np.uint8).reshape(-1, width)
 
 
-def _ascii(fh: io.RawIOBase, chunk: bytes, count: int) -> Iterator[np.ndarray]:
+def _ascii(fh: io.RawIOBase, chunk: bytes) -> Iterator[np.ndarray]:
     """The samples of a P2 raster, a chunk at a time: those in *chunk*, then the rest of *fh*.
 
     Each step scans the bytes carried from the step before and the next
     chunk. A comment or token that the chunk cuts carries over: an open
-    comment as ``#``, a digit run as its last three digits (any digit
-    before them is a zero, or the run is already an error), with
-    ``dropped`` counting the zeros left out. A sample past the first
-    *count* is trailing data.
+    comment as ``#``, a digit run whole. The run is scanned again with the
+    next chunk, a cost that :func:`_max_digits`, which the scan holds it
+    to, bounds. :func:`_bands` counts the samples.
     """
-    limit = _digit_limit()
-    n, pending, dropped = 0, b"", 0
+    pending = b""
     while True:
         # the scan starts between tokens, so a carried ``#`` opens a comment
         # while a carried ``0`` keeps ``0#c`` one token
@@ -220,24 +217,21 @@ def _ascii(fh: io.RawIOBase, chunk: bytes, count: int) -> Iterator[np.ndarray]:
                 buf, pending = buf[: m.start()], b"#"
             else:
                 partial = not buf[-1:].isspace()
-        sample, dropped = _scan(buf + b" ", count - n, dropped, partial, limit)
-        n += len(sample)
-        yield sample
+        yield _scan(buf + b" ", partial)
         if partial:
-            pending = buf[-3:].split()[-1]
+            pending = buf.rsplit(None, 1)[-1]
         if not chunk:
             return
         chunk = fh.read(_CHUNK)
 
 
-def _scan(body: bytes, room: int, dropped: int, partial: bool, limit: int) -> tuple[np.ndarray, int]:
-    """The whole samples of *body*, at most *room* of them, as uint8, and the next ``dropped``.
+def _scan(body: bytes, partial: bool) -> np.ndarray:
+    """The whole samples of *body* as uint8.
 
-    *body* starts with two whitespace bytes and ends with one, and *dropped*
-    zeros precede its first digit run. A *partial* last run goes on in the
-    next chunk: it is checked, since no later digit can mend it, but not
-    returned. A sample is valid exactly when ``int()`` takes it and gives at
-    most 255.
+    *body* starts with two whitespace bytes and ends with one. A *partial*
+    last run goes on in the next chunk: it is checked, since no later digit
+    can mend it, but not returned. A sample is valid exactly when it has at
+    most :func:`_max_digits` digits and makes at most 255.
     """
     if b"#" in body:
         body = _COMMENT.sub(b" ", body)
@@ -251,16 +245,11 @@ def _scan(body: bytes, room: int, dropped: int, partial: bool, limit: int) -> tu
     if b"\x01" * 4 in kinds:
         # a run of four digits or more: where each run starts and ends
         bounds = np.flatnonzero(digit[1:] != digit[:-1])
-        length = bounds[1::2] - bounds[::2]
-        length[0] += dropped
         # a nonzero digit with three digits after it makes 1000 or more
         if (value[:-3].astype(bool) & digit[1:-2] & digit[2:-1] & digit[3:]).any():
             raise PgmFormatError("bad PGM pixel value: 1000 or more")
-        if 0 < limit < length.max():
+        if (bounds[1::2] - bounds[::2]).max() > (limit := _max_digits()):
             raise PgmFormatError(f"bad PGM pixel value: more than {limit} digits")
-        dropped = max(int(length[-1]) - 3, 0) if partial else 0
-    else:
-        dropped = 0
     # at each byte, the number its last three digits make: the hundreds
     # count only when the tens are a digit too, else they belong to the run before
     sample = (value[:-3] * digit[1:-2]).astype(np.uint16)
@@ -269,12 +258,9 @@ def _scan(body: bytes, room: int, dropped: int, partial: bool, limit: int) -> tu
     sample += value[2:-1]
     # the samples sit at the last digit of each run
     sample = sample[digit[2:-1] > digit[3:]]
-    whole = sample.size - partial
-    if whole > room:
-        raise PgmFormatError("trailing data after PGM raster")
     if sample.size and sample.max() > PEAK:
         raise PgmFormatError(f"bad PGM pixel value: {sample.max()} is over {PEAK}")
-    return sample[:whole].astype(np.uint8), dropped
+    return sample[: sample.size - partial].astype(np.uint8)
 
 
 def write_pgm(path: str | os.PathLike, img, *, ascii_format: bool = False) -> None:

@@ -1,9 +1,11 @@
 import contextlib
 import gc
+import io
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -11,10 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import random_image
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from perfbench.phantom import pgm_bytes
+from test_pgm import mutated_pgm
 
 from mrdenoise import (
     NoiseSpec,
+    PgmFormatError,
     PipelineConfig,
     Thresholds,
     denoise,
@@ -25,7 +31,7 @@ from mrdenoise import (
     read_pgm,
     write_pgm,
 )
-from mrdenoise import cli
+from mrdenoise import cli, pgm, pipeline
 from mrdenoise.pipeline import MAX_ITERATIONS
 
 
@@ -413,6 +419,67 @@ class TestFileToFile:
         assert peaks[1] <= 1.1 * peaks[0], f"peaks {peaks} bytes"
 
 
+@st.composite
+def small_pgm(draw):
+    """A random 4x4 to 9x12 image as a P5 or P2 file; 4 rows or columns is undersized."""
+    img = random_image(draw(st.integers(0, 2**16)), draw(st.integers(4, 9)), draw(st.integers(4, 12)))
+    return pgm_bytes(img, draw(st.booleans()))
+
+
+class TestMutatedInput:
+    """``denoise`` of any input exits 0 with the library's image exactly when
+    ``read_pgm`` takes the input, and otherwise exits with the documented
+    code, one ``error:`` line and its output directory as it was."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_pgm(small_pgm()), st.booleans(), st.booleans(), st.integers(1, 8), st.integers(1, 64))
+    def test_denoises_like_the_library_or_writes_nothing(self, data, fifo, existing, chunk, band_px):
+        with tempfile.TemporaryDirectory() as tmp:
+            ref = Path(tmp) / "ref.pgm"
+            ref.write_bytes(data)
+            try:
+                img = read_pgm(ref)
+            except PgmFormatError:
+                expected = 1  # also where the image is undersized
+            else:
+                expected = 0 if min(img.shape) >= 5 else 2
+                if expected == 0:
+                    write_pgm(ref, denoise(img))
+            want = ref.read_bytes()
+            ref.unlink()
+            inp, out = Path(tmp) / "in.pgm", Path(tmp) / "out.pgm"
+            for engine in ENGINES:
+                if fifo:
+                    os.mkfifo(inp)
+                    writer, _ = fifo_feeder(inp, data)
+                else:
+                    inp.write_bytes(data)
+                if existing:
+                    out.write_bytes(b"old")
+                before = sorted(os.listdir(tmp))
+                err = io.StringIO()
+                # reads of a few bytes and bands of a few rows cut the raster everywhere
+                with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+                    mp.setattr(pgm, "_CHUNK", chunk)
+                    mp.setattr(pipeline, "_BAND_PX", band_px)
+                    code = run_cli("denoise", inp, out, "--engine", engine)
+                if fifo:
+                    writer.join(timeout=10)
+                    assert not writer.is_alive()
+                err = err.getvalue()
+                if expected == 0:
+                    assert (code, err) == (0, "")
+                    assert out.read_bytes() == want
+                    assert sorted(os.listdir(tmp)) == sorted({*before, "out.pgm"})
+                else:
+                    assert code == expected, err
+                    assert err.startswith("error: ") and err.count("\n") == 1, err
+                    assert sorted(os.listdir(tmp)) == before
+                    assert not existing or out.read_bytes() == b"old"
+                inp.unlink()
+                out.unlink(missing_ok=True)
+
+
 class TestConfigFile:
     def test_comments_blank_lines_and_upper_case_keys(self, tmp_path, sample):
         img, inp = sample
@@ -588,6 +655,25 @@ class TestUsageErrors:
         assert err.startswith(f"error: {message.format_map(paths)}")
         assert err.count("\n") == 1 and "usage:" not in err
         assert not paths["o"].exists() and not paths["m"].exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [("denoise", "{in}", "{o}", "--stats", "{o}"), ("inject", "{in}", "{o}", "{link}", "--p", "0.1")],
+        ids=["denoise_stats", "inject_mask_via_symlink"],
+    )
+    def test_two_outputs_naming_one_file(self, tmp_path, sample, capsys, args):
+        # only the output written last would stay
+        _, inp = sample
+        out, link = tmp_path / "o.pgm", tmp_path / "link.pgm"
+        out.write_bytes(b"old")
+        link.symlink_to(out.name)
+        before = sorted(os.listdir(tmp_path))
+        paths = {"in": inp, "o": out, "link": link}
+        assert run_cli(*(a.format_map(paths) for a in args)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: outputs ") and err.count("\n") == 1, err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert out.read_bytes() == b"old"
 
     def test_argparse_errors_keep_usage(self, tmp_path, sample, capsys):
         _, inp = sample

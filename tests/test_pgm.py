@@ -46,38 +46,42 @@ class OracleScanner:
         return data[i:j]
 
 
-def oracle_header_int(tokens, what: str) -> tuple[int, int]:
-    """The next header token as an integer, and the offset just past it.
+def oracle_number(token: bytes) -> int:
+    """A header number or P2 sample as an integer.
 
     The reader's rule, written out here so that the oracle shares no code
-    with the reader it checks: ASCII digits that ``int()`` converts.
+    with the reader it checks: ASCII digits, no more of them than ``int()``
+    converts, or than CPython's default of 4300 where it has no limit.
     """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if not token.isdigit() or len(token) > limit:
+        raise PgmFormatError(f"bad number {token[:16]!r}")
+    return int(token)
+
+
+def oracle_header_int(tokens) -> tuple[int, int]:
+    """The next header token as an integer, and the offset just past it."""
     m = next(tokens, None)
     if m is None:
         raise PgmFormatError("unexpected end of file in PGM header")
-    if m[1].isdigit():
-        try:
-            return int(m[1]), m.end()
-        except ValueError:  # more digits than int() converts
-            pass
-    raise PgmFormatError(f"invalid {what} in PGM header")
+    return oracle_number(m[1]), m.end()
 
 
 def oracle_read(data: bytes) -> np.ndarray:
     """The whole-file reader the chunked one replaced, kept as its reference.
 
-    It tokenizes the whole file with ``_TOKEN``, drops a sample that is not
-    all ASCII digits, and lets ``int()`` and ``bytearray`` judge the rest.
+    It tokenizes the whole file with ``_TOKEN`` and takes each sample
+    through :func:`oracle_number`, which must make at most 255.
     """
     tokens = (m for m in _TOKEN.finditer(data) if m[1] is not None)
     first = next(tokens, None)
     if (first[1] if first else b"") not in (b"P5", b"P2"):
         raise PgmFormatError("magic")
-    width, _ = oracle_header_int(tokens, "width")
-    height, _ = oracle_header_int(tokens, "height")
+    width, _ = oracle_header_int(tokens)
+    height, _ = oracle_header_int(tokens)
     if width < 1 or height < 1:
         raise PgmFormatError("dimensions")
-    maxval, pos = oracle_header_int(tokens, "maxval")
+    maxval, pos = oracle_header_int(tokens)
     if maxval != 255:
         raise PgmFormatError("maxval")
     count = width * height
@@ -85,14 +89,12 @@ def oracle_read(data: bytes) -> np.ndarray:
         if pos >= len(data) or data[pos] not in _WHITESPACE or len(data) - pos - 1 != count:
             raise PgmFormatError("raster")
         return np.frombuffer(data, np.uint8, count, offset=pos + 1).reshape(height, width)
-    samples = filter(bytes.isdigit, (m[1] for m in islice(tokens, count)))
-    try:
-        values = bytearray(map(int, samples))
-    except ValueError as exc:
-        raise PgmFormatError(str(exc)) from None
+    values = [oracle_number(m[1]) for m in islice(tokens, count)]
+    if max(values, default=0) > 255:
+        raise PgmFormatError("sample over 255")
     if len(values) < count or next(tokens, None) is not None:
         raise PgmFormatError("count")
-    return np.frombuffer(values, dtype=np.uint8).reshape(height, width)
+    return np.array(values, np.uint8).reshape(height, width)
 
 
 def assert_reads_like_oracle(path, data: bytes, chunk: int) -> None:
@@ -124,8 +126,9 @@ _BASES = [
 
 
 @st.composite
-def mutated_pgm(draw):
-    data = bytearray(draw(st.sampled_from(_BASES)))
+def mutated_pgm(draw, bases=st.sampled_from(_BASES)):
+    """Up to four single-byte inserts, deletes or replacements of a file *bases* draws."""
+    data = bytearray(draw(bases))
     for _ in range(draw(st.integers(0, 4))):
         pos = draw(st.integers(0, len(data)))
         op = draw(st.sampled_from(["insert", "delete", "replace"]))
@@ -348,17 +351,22 @@ class TestReader:
 
     @pytest.mark.parametrize(
         "prefix, fill, end, field",
-        [(b"", b" ", b"", "magic"), (b"#", b"\0", b"", "magic"), (b"P5 ", b"1", b"x", "width")],
-        ids=["whitespace", "comment", "digits"],
+        [
+            (b"", b" ", b"", "magic"),
+            (b"#", b"\0", b"", "magic"),
+            (b"P5 ", b"1", b"x", "width"),
+            (b"P2 1 1 255 ", b"0", b"x", "more than 4300 digits"),
+        ],
+        ids=["whitespace", "comment", "digits", "sample"],
     )
-    def test_holds_no_more_of_an_endless_header_than_one_read(self, tmp_path, prefix, fill, end, field):
+    def test_holds_no_more_of_an_endless_header_or_sample_than_one_read(self, tmp_path, prefix, fill, end, field):
         # a pipe of only whitespace, one comment whose line never ends, or
-        # one number whose digits never end never completes a token; read_pgm
-        # keeps only what a cut token or an open comment needs, not every byte
-        # until the pipe ends. int() converts a number of any length here,
-        # as on a Python without a digit limit; the digits end in a byte no
-        # number takes, so a reader that held them all fails fast instead of
-        # converting 16 MiB of digits
+        # one header number or P2 sample whose digits never end never
+        # completes a token; read_pgm keeps only what a cut token or an open
+        # comment needs, not every byte until the pipe ends. int() converts a
+        # number of any length here, as on a Python without a digit limit;
+        # the digits end in a byte no number takes, so a reader that held
+        # them all fails on that byte, not on the digit bound, after 16 MiB
         fifo = tmp_path / "h.pgm"
         os.mkfifo(fifo)
         block = fill * 65536
@@ -479,13 +487,18 @@ class TestChunkedAscii:
         assert_reads_like_oracle(fuzz_path, data, chunk)
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
-    @pytest.mark.parametrize("zeros", [-1, 0], ids=["at_limit", "over_limit"])
-    def test_zero_padding_up_to_int_digit_limit(self, fuzz_path, chunk, zeros):
+    @pytest.mark.parametrize(
+        "zeros, unlimited",
+        [(-1, False), (0, False), (-1, True), (0, True)],
+        ids=["at_limit", "over_limit", "at_no_limit", "over_no_limit"],
+    )
+    def test_zero_padding_up_to_int_digit_limit(self, fuzz_path, chunk, zeros, unlimited):
         # int() refuses a number longer than Python's digit limit, zero
-        # padding included (with no limit set, both readers take it)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        # padding included; with no limit set, 4300 digits stand in for it
+        limit = 4300 if unlimited else getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
         data = b"P2 1 1 255 " + b"0" * (limit + zeros) + b"7\n"
-        assert_reads_like_oracle(fuzz_path, data, chunk)
+        with no_int_digit_limit() if unlimited else contextlib.nullcontext():
+            assert_reads_like_oracle(fuzz_path, data, chunk)
 
     def test_fills_each_chunk_in_raster_order(self, tmp_path):
         img = random_image(7, 40, 50)
@@ -535,7 +548,7 @@ class TestBands:
         writer = threading.Thread(target=path.write_bytes, args=(pgm_bytes(img, ascii_format) + extra,))
         writer.start()
         try:
-            with pytest.raises(PgmFormatError, match="trailing data" if ascii_format else "found more"):
+            with pytest.raises(PgmFormatError, match="found more"):
                 read_pgm(path)
         finally:
             writer.join()
