@@ -22,7 +22,7 @@ from .detect import Thresholds, load_thresholds
 from .image import psnr
 from .noise import NoiseSpec, inject_fvin, inject_rvin, write_mask
 from .pgm import PgmFormatError, _raster, _write, read_pgm, write_pgm
-from .pipeline import PipelineConfig, _chunk_rows, _drive, _pass_stats, denoise, median_filter
+from .pipeline import PipelineConfig, _chunk_rows, _drive, denoise, median_filter
 from .pipeline import write_class_stats_csv
 
 DEFAULT_DENSITIES = (0.05, 0.10, 0.15, 0.20, 0.30, 0.40)
@@ -40,7 +40,7 @@ NOISE_KINDS = {"rvin": inject_rvin, "fvin": inject_fvin}
 # threshold flags: Thresholds field -> help text
 THRESHOLD_HELP = {
     "t1": "sorted-gap edge threshold",
-    "t2": "directional-distance limit for clean edges",
+    "t2": "directional-distance limit for clean edges, which changes no output while t5 >= 5 and t1 >= t4",
     "t3": "disorder margin around the window medians",
     "t4": "intensity tolerance for similarity and extremum proximity",
     "t5": "minimum similar neighbors to keep a pixel",
@@ -64,7 +64,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--eq4-literal",
         action="store_true",
-        help="apply the half weight inside the directional absolute difference",
+        help="apply the half weight inside the directional absolute difference (changes no output while t5 >= 5 and t1 >= t4)",
     )
     parser.add_argument(
         "--no-iter1-bypass",
@@ -181,14 +181,14 @@ def _cmd_denoise(args) -> int:
             for _ in bands(1):
                 pass
             raise
-        bins = []
+        # class counts, and on the stream engine module counts too
+        stats = ([], [])[: 1 + (args.engine == "stream")] if args.stats else ()
         with _replacing(args.output) as dst:
-            _write(dst, shape, _drive(bands(rows), cfg, bins))
+            _write(dst, shape, _drive(bands(rows), cfg, stats))
             # before the rename, so that a stats file that cannot be written
             # leaves the output as it was
             if args.stats:
-                class_stats, module_stats = _pass_stats(bins, cfg)
-                write_class_stats_csv(args.stats, class_stats, module_stats if args.engine == "stream" else None)
+                write_class_stats_csv(args.stats, *stats)
     return 0
 
 

@@ -50,6 +50,11 @@ merge-exchange network pruned to its middle rank (5x5), both on uint8
 views in the frame engine's row bands. In the first pass of the default
 schedule the candidate rescue is bypassed (heavy noise makes neighbor
 similarity meaningless), so candidates are smoothed unconditionally.
+
+A predicate bit that no class of a call's passes reads is a don't-care in
+that call, whose stage the kernel skips unless module counts are asked for:
+while t5 >= 5 and t1 >= t4, as at the defaults, the noisy-edge bit, and in
+a pass without the rescue the similar bit too (:func:`_read_bits`).
 """
 
 from __future__ import annotations
@@ -58,8 +63,9 @@ import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, repeat
+from operator import or_
 
 import numpy as np
 
@@ -304,19 +310,22 @@ def _pair_restore(taps: np.ndarray) -> np.ndarray:
 
 
 def _edge_stage(
-    taps: np.ndarray, weights_inside_abs: bool, limit: int
+    taps: np.ndarray, weights_inside_abs: bool, limit: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bits 0 and 1 of the code of edge pixels (1, plus 2 where :func:`type2_edge`
-    holds) and their :func:`type2_edge_preserve` values, from int16 columns of
-    the center and its sixteen line taps in ``_EDGE_TAPS`` order."""
+    holds; 1 alone with *limit* None, which skips the distance) and their
+    :func:`type2_edge_preserve` values, from int16 columns of the center and
+    its sixteen line taps in ``_EDGE_TAPS`` order."""
     center, lines = taps[0], taps[1:].reshape(4, 4, -1)  # each line: near, near, far, far
-    d = lines - center
-    if weights_inside_abs:
-        d[:, 2:] -= center  # the far taps against 2 * center
-    np.abs(d, out=d)
-    # at most 2 * (255 + 255) + 510 + 510 = 2040, with the far taps against 2 * center
-    dist = 2 * (d[:, 0] + d[:, 1]) + d[:, 2] + d[:, 3]
-    bits = (dist.min(axis=0) > limit) * np.uint8(2) + np.uint8(1)
+    bits = np.uint8(1)
+    if limit is not None:
+        d = lines - center
+        if weights_inside_abs:
+            d[:, 2:] -= center  # the far taps against 2 * center
+        np.abs(d, out=d)
+        # at most 2 * (255 + 255) + 510 + 510 = 2040, with the far taps against 2 * center
+        dist = 2 * (d[:, 0] + d[:, 1]) + d[:, 2] + d[:, 3]
+        bits = (dist.min(axis=0) > limit) * np.uint8(2) + bits
     s = lines.sum(axis=1, dtype=np.int16)  # at most 4 * 255 = 1020
     # at most 2040, at two pixels of 255 and two of 0: the spread is convex in
     # the pixels, so its maximum lies where each is 0 or 255. A 21-bit packed key
@@ -438,6 +447,18 @@ def _tables(gate_active: bool, skip_npc: bool) -> tuple[np.ndarray, np.ndarray]:
     return classes, runs
 
 
+@cache
+def _read_bits(gate_active: bool, skip_npc: bool, lemma: bool) -> int:
+    """The mask of code bits some class of the step's table reads: bit b when
+    flipping it turns a code the kernel can emit into one of another class.
+    Under *lemma*, t5 >= 5 and t1 >= t4, no code is edge and similar: the six
+    or more window values within t4 of a similar center hold six ranks, f3 to
+    f5 among them, so each sorted gap lies on one side of the center, within t4."""
+    classes = _tables(gate_active, skip_npc)[0]
+    codes = [c for c in range(_CODES) if not (lemma and c & 5 == 5)]
+    return sum({b for c in codes for b in (1, 2, 4, 8, 16) if c ^ b in codes and classes[c] != classes[c ^ b]})
+
+
 # pixels per slice of a sparse stage. The edge stage's slice holds the most
 # per pixel: the gather's intp index of 17 taps (136 bytes), the 17 int16
 # taps (34) and the (4, n) int32 key (16), 186 bytes in all, so a slice's
@@ -467,7 +488,7 @@ def _gather(i: np.ndarray, padded: np.ndarray, taps) -> Iterator[tuple[slice, np
 
 
 def _iterate_block(
-    padded: np.ndarray, th: Thresholds, classes: np.ndarray, weights_inside_abs: bool
+    padded: np.ndarray, th: Thresholds, classes: np.ndarray, weights_inside_abs: bool, reads: int = _CODES - 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized classify + restore over a stack of padded uint8 blocks.
 
@@ -491,7 +512,11 @@ def _iterate_block(
     beside its code). Each filter selects its candidate with one ``min``
     over packed keys (:func:`_packed_min`), first minimum in H, V, D, AD
     order as in the scalar functions, so frame and stream outputs agree
-    bit for bit.
+    bit for bit. *reads* masks the code bits the caller reads, all by
+    default. A call that leaves out bit 2 skips the similarity count and
+    one that leaves out bit 1 the directional distance: in such a pruned
+    call that bit is a don't-care, left clear, so its codes give every
+    pixel its class but not its exact predicates.
     """
     p3 = _window_planes(padded, _W3)
     center = p3[4]
@@ -509,27 +534,29 @@ def _iterate_block(
     # f5 and one of the scalar test's distances is 0; outside, the nearer of
     # f3 and f5 is the closest of the three
     code |= ((np.maximum(center, f5) - f5 > t3) | (f3 - np.minimum(center, f3) > t3)).view(np.uint8)
-    # |p - center| <= t4 exactly when p lies in [lo, lo + span], the range
-    # clipped to [0, 255]: max(center, t4) - t4 and min(center, 255 - t4) + t4
-    # cannot wrap, and p - lo wraps above span when p < lo
-    lo = np.maximum(center, t4) - t4
-    span = np.minimum(center, 255 - t4) + t4 - lo
-    sim_count = np.zeros(center.shape, np.uint8)  # at most 8
-    for i in (0, 1, 2, 3, 5, 6, 7, 8):
-        sim_count += (p3[i] - lo <= span).view(np.uint8)
     code <<= 1
-    code |= (sim_count >= th.t5).view(np.uint8)
+    if reads & 4:
+        # |p - center| <= t4 exactly when p lies in [lo, lo + span], the range
+        # clipped to [0, 255]: max(center, t4) - t4 and min(center, 255 - t4)
+        # + t4 cannot wrap, and p - lo wraps above span when p < lo
+        lo = np.maximum(center, t4) - t4
+        span = np.minimum(center, 255 - t4) + t4 - lo
+        sim_count = np.zeros(center.shape, np.uint8)  # at most 8
+        for i in (0, 1, 2, 3, 5, 6, 7, 8):
+            sim_count += (p3[i] - lo <= span).view(np.uint8)
+        code |= (sim_count >= th.t5).view(np.uint8)
+        del lo, span, sim_count
     edge = (f4 - f3 > t1) | (f5 - f4 > t1)  # sorted gaps: non-negative
     avg = np.add(f3, f4, dtype=np.int16)
     avg += f5
     avg += 1
     avg //= 3  # the sum is at most 3 * 255 + 1 = 766
-    del p3, f0, f3, f4, f5, f8, lo, span, sim_count  # free what the sparse stages do not read
+    del p3, f0, f3, f4, f5, f8  # free what the sparse stages do not read
 
     # bits 0 and 1 and the line filter value, on edge pixels; the distance is
     # at most 2040, so every t2 >= 1020 makes the test false, as 2 * t2
     # clamped to 2040 does
-    limit = min(2 * th.t2, 2040)
+    limit = min(2 * th.t2, 2040) if reads & 2 else None
     i, edge = np.flatnonzero(edge), edge.view(np.uint8)  # flatnonzero runs ~10x faster on bool
     edge_flat, line = edge.ravel(), np.empty(i.size, np.uint8)
     for s, taps in _gather(i, padded, _EDGE_TAPS):
@@ -559,28 +586,19 @@ def _iterate_block(
     return out, code
 
 
-def _schedule(cfg: PipelineConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``(classes, runs)`` tables of each pass of *cfg*.
+def _schedule(cfg: PipelineConfig) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """The ``(classes, runs)`` tables of each pass of *cfg*, and the code bits
+    its classes read (:func:`_read_bits`).
 
     Only the first pass departs from the full decision tree, as the
     ``iteration1_*`` options select.
     """
-    return [
-        _tables(
-            not (k == 0 and cfg.iteration1_skips_similarity_gate),
-            k == 0 and cfg.iteration1_skips_noisy_pixel_check,
-        )
+    th = cfg.thresholds
+    steps = [
+        (not (k == 0 and cfg.iteration1_skips_similarity_gate), k == 0 and cfg.iteration1_skips_noisy_pixel_check)
         for k in range(cfg.iterations)
     ]
-
-
-def _pass_stats(bins: list[np.ndarray], cfg: PipelineConfig) -> tuple[list[dict], list[dict]]:
-    """Per-pass class counts and module counts, as sums over each pass's code bins."""
-    class_stats, module_stats = [], []
-    for b, (classes, runs) in zip(bins, _schedule(cfg)):
-        class_stats.append({c: int(b[classes == c].sum()) for c in PixelClass})
-        module_stats.append(dict(zip(MODULE_NAMES, (b @ runs).tolist())))
-    return class_stats, module_stats
+    return [(*_tables(*step), _read_bits(*step, th.t5 >= 5 and th.t1 >= th.t4)) for step in steps]
 
 
 # pixels per frame-engine band, and at most per kernel call. A uint8 plane
@@ -593,7 +611,7 @@ _BAND_PX = 2**15
 
 
 def _drive(
-    chunks: Iterable[np.ndarray], cfg: PipelineConfig, bins: list[np.ndarray]
+    chunks: Iterable[np.ndarray], cfg: PipelineConfig, stats: tuple[list, ...] = ()
 ) -> Iterator[np.ndarray]:
     """Run every pass of *cfg* over uint8 row chunks, yielding restored rows.
 
@@ -613,14 +631,19 @@ def _drive(
     last input row replicated twice below them. That is the frame's edge
     padding, so every chunking of an image gives the same output. The rows
     of the last pass's end-of-input call leave one at a time, as a row
-    stream expects. One histogram of predicate codes per pass is appended
-    to *bins*, for :func:`_pass_stats`.
+    stream expects.
+
+    *stats* names the counts the caller reads, each list getting one dict
+    per pass once the last row has left: ``()`` none, ``(classes,)`` class
+    counts, ``(classes, modules)`` module counts too. Only counts keep a
+    histogram of codes, and only module counts, which read every code bit,
+    run the exact kernel; other calls skip the stages no class reads.
     """
     schedule = _schedule(cfg)
     passes = len(schedule)
-    tables = np.concatenate([classes for classes, _ in schedule])  # pass k's at 32 * k
+    tables = np.concatenate([classes for classes, _, _ in schedule])  # pass k's at 32 * k
+    reads = [_CODES - 1 if len(stats) > 1 else bits for _, _, bits in schedule]
     hist = np.zeros((passes, _CODES), np.int64)
-    bins.extend(hist)  # one row view per pass
     carries: list[np.ndarray | None] = [None] * passes
     # the rows each pass takes on the next step; inputs[passes] leave the pipeline
     inputs: list[np.ndarray | None] = [None] * (passes + 1)
@@ -632,8 +655,10 @@ def _drive(
         batch = np.stack(group) if n > 1 else group[0][None]
         group.clear()  # so that one copy of the blocks stays alive through the call
         classes = tables[_CODES * (end - n) : _CODES * end]
-        out, code = _iterate_block(batch, cfg.thresholds, classes, cfg.eq4_literal_weights)
-        hist[end - n : end] += np.bincount(code.ravel(), minlength=_CODES * n).reshape(n, _CODES)
+        bits = reduce(or_, reads[end - n : end])  # the bits a class of some block reads
+        out, code = _iterate_block(batch, cfg.thresholds, classes, cfg.eq4_literal_weights, bits)
+        if stats:
+            hist[end - n : end] += np.bincount(code.ravel(), minlength=_CODES * n).reshape(n, _CODES)
         inputs[end - n + 1 : end + 1] = out
 
     ending = -1  # once input has ended, the pass taking its end-of-input call
@@ -667,6 +692,10 @@ def _drive(
         if rows is not None:
             # a copy, as a view would keep the other passes' rows of its call alive
             yield from np.split(rows, len(rows)) if ending == passes - 1 else [rows.copy()]
+    for b, (classes, runs, _) in zip(hist if stats else (), schedule):
+        stats[0].append({c: int(b[classes == c].sum()) for c in PixelClass})
+        if len(stats) > 1:
+            stats[1].append(dict(zip(MODULE_NAMES, (b @ runs).tolist())))
 
 
 def _chunk_rows(shape: tuple[int, int], rows: int = 0) -> int:
@@ -679,20 +708,18 @@ def _chunk_rows(shape: tuple[int, int], rows: int = 0) -> int:
     return rows or max(1, _BAND_PX // shape[1])
 
 
-def _run(
-    img, cfg: PipelineConfig | None, rows: int = 0
-) -> tuple[np.ndarray, list[dict[PixelClass, int]], list[dict[str, int]]]:
+def _run(img, cfg: PipelineConfig | None, rows: int = 0, counts: int = 0) -> tuple:
     """Check *img* and drive it through every pass of *cfg* in chunks of
-    :func:`_chunk_rows` rows. Returns the output image, per-pass class
-    counts and per-pass module counts.
+    :func:`_chunk_rows` rows. Returns the output image, then with *counts*
+    1 the per-pass class counts, and with 2 the per-pass module counts too.
     """
     arr = as_gray(img)
     rows = _chunk_rows(arr.shape, rows)
     cfg = cfg or PipelineConfig()
     chunks = (arr[r : r + rows] for r in range(0, arr.shape[0], rows))
-    bins: list[np.ndarray] = []
-    out = np.concatenate(list(_drive(chunks, cfg, bins)))
-    return (out, *_pass_stats(bins, cfg))
+    stats = ([], [])[:counts]
+    out = np.concatenate(list(_drive(chunks, cfg, stats)))
+    return (out, *stats)
 
 
 def denoise(img, cfg: PipelineConfig | None = None) -> np.ndarray:
@@ -704,7 +731,7 @@ def denoise_with_stats(
     img, cfg: PipelineConfig | None = None
 ) -> tuple[np.ndarray, list[dict[PixelClass, int]]]:
     """Like :func:`denoise` but also returns per-iteration class counts."""
-    return _run(img, cfg)[:2]
+    return _run(img, cfg, counts=1)
 
 
 def median_filter(img, k: int) -> np.ndarray:

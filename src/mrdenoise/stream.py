@@ -35,7 +35,7 @@ def stream_denoise_with_stats(
     img, cfg: PipelineConfig | None = None
 ) -> tuple[np.ndarray, list[dict[PixelClass, int]], list[dict[str, int]]]:
     """Streaming denoise returning per-iteration class and module counts."""
-    return _run(img, cfg, rows=1)
+    return _run(img, cfg, rows=1, counts=2)
 
 
 def stream_denoise(img, cfg: PipelineConfig | None = None) -> np.ndarray:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import axis_step, make_rng, random_image, scalar_pass, synthetic_mr_slice
+from test_golden_grid import noisy_pgm
 
 from mrdenoise import (
     MODULE_NAMES,
@@ -40,7 +41,6 @@ from mrdenoise.pipeline import (
     MAX_ITERATIONS,
     _drive,
     _iterate_block,
-    _pass_stats,
     _select,
     _tables,
     classify,
@@ -60,9 +60,9 @@ def one_pass(gate_active: bool = True) -> PipelineConfig:
 
 def drive_one_chunk(img, cfg):
     """Output and per-pass class counts of the pass driver fed *img* as one chunk."""
-    bins = []
-    out = np.concatenate(list(_drive([img], cfg, bins)))
-    return out, _pass_stats(bins, cfg)[0]
+    stats = ([],)
+    out = np.concatenate(list(_drive([img], cfg, stats)))
+    return out, stats[0]
 
 
 class TestConfig:
@@ -348,6 +348,100 @@ class TestThresholdExtremes:
                 seen[expected] += 1
             assert list(counters.values()) == runs[code.ravel()].sum(axis=0).tolist(), th
         assert all(seen.values()), seen
+
+
+# thresholds at and just past the bounds of the lemma, t5 >= 5 and t1 >= t4,
+# under which no edge pixel is similar: the defaults, both bounds met exactly,
+# t5 one lower, t1 one lower, and the golden grid's KeepEdge cells
+LEMMA_EDGES = (
+    Thresholds(),
+    Thresholds(t1=10, t5=5),
+    Thresholds(t5=4),
+    Thresholds(t1=9, t5=5),
+    Thresholds(t1=5),
+    Thresholds(t1=10, t4=20),
+)
+
+
+class TestPrunedKernel:
+    """A kernel call that skips the stages whose code bits no class reads, as
+    ``_schedule`` decides them, gives every pixel the class and the output of
+    the exact kernel, in every schedule step."""
+
+    @staticmethod
+    def check(block, th, eq4_literal) -> int:
+        """Compare the pruned and the exact kernel on *block* in the gate-off
+        first pass, a gate-active pass and a first pass without the candidate
+        check; returns how many codes the pruning changed."""
+        changed = 0
+        cfgs = (
+            PipelineConfig(th, iterations=2, eq4_literal_weights=eq4_literal),
+            PipelineConfig(th, iterations=1, iteration1_skips_noisy_pixel_check=True, eq4_literal_weights=eq4_literal),
+        )
+        for classes, _, reads in itertools.chain.from_iterable(map(pipeline._schedule, cfgs)):
+            out, code = _iterate_block(block, th, classes, eq4_literal, reads)
+            exact_out, exact_code = _iterate_block(block, th, classes, eq4_literal)
+            assert np.array_equal(classes[code], classes[exact_code]), (th, reads)
+            assert np.array_equal(out, exact_out), (th, reads)
+            changed += np.count_nonzero(code != exact_code)
+        return changed
+
+    @pytest.mark.parametrize("n", range(len(LEMMA_EDGES)))
+    def test_schedule_prunes_under_the_lemma_only(self, n):
+        # under the lemma (the first two) the gate-off first pass reads neither
+        # the noisy-edge nor the similar bit, and a gate-active pass reads the
+        # similar bit only off edges; past either bound every pass reads every bit
+        reads = [0b11001, 0b11101] if n < 2 else [0b11111] * 2
+        assert [bits for *_, bits in pipeline._schedule(PipelineConfig(LEMMA_EDGES[n]))] == reads
+
+    @pytest.mark.parametrize("eq4_literal", [False, True])
+    def test_threshold_extremes_inputs(self, eq4_literal):
+        blocks = [padded(TestThresholdExtremes.image(seed))[None] for seed in (4700, 4701)]
+        grid = [Thresholds(*t, n % 9) for n, t in enumerate(itertools.product(EXTREMES, repeat=4))]
+        changed = sum(self.check(blocks[n % 2], th, eq4_literal) for n, th in enumerate(grid + list(LEMMA_EDGES)))
+        assert changed
+
+    @pytest.mark.parametrize("eq4_literal", [False, True])
+    @pytest.mark.parametrize("kind", ["rvin", "fvin"])
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.4])
+    def test_golden_grid_phantoms(self, kind, p, eq4_literal):
+        # the golden grid's 256-pixel inputs, as one block and through the
+        # driver, whose class counts come from pruned calls
+        img = np.frombuffer(noisy_pgm(256, kind, p)[-256 * 256 :], np.uint8).reshape(256, 256)
+        changed = 0
+        for th in LEMMA_EDGES:
+            changed += self.check(padded(img)[None], th, eq4_literal)
+            cfg = PipelineConfig(th, eq4_literal_weights=eq4_literal)
+            out, stats = denoise_with_stats(img, cfg)
+            exact_out, exact_stats, _ = pipeline._run(img, cfg, counts=2)
+            assert np.array_equal(out, exact_out) and stats == exact_stats, th
+        assert changed
+
+
+class TestCodeDtype:
+    def test_every_stack_reads_back_its_blocks(self, monkeypatch):
+        # a 5-wide image streamed a row at a time gives 5 x 9 blocks, the
+        # smallest, so the largest stack is _BAND_PX // 45 of them. Pass k takes
+        # its first full block 3 * k + 2 steps in, so once that many passes
+        # hold a block at once every stack size up to it has run
+        most, sizes = _BAND_PX // 45, set()
+        kernel = pipeline._iterate_block
+
+        def reading_back(padded, *rest):
+            out, code = kernel(padded, *rest)
+            n = len(padded)
+            # block j's codes offset by 32 * j, in the smallest dtype that holds 32 * n - 1
+            assert np.array_equal(code.reshape(n, -1) >> 5, np.broadcast_to(np.arange(n)[:, None], (n, code[0].size))), n
+            assert code.dtype == (np.uint8 if n <= 8 else np.uint16), n
+            sizes.add(n)
+            return out, code
+
+        monkeypatch.setattr(pipeline, "_iterate_block", reading_back)
+        img = random_image(4900, 3 * most + 3, 5)
+        for _ in _drive((row[None] for row in img), PipelineConfig(iterations=most + 1)):
+            if most in sizes:
+                break
+        assert sizes == set(range(1, most + 1))
 
 
 class TestSorter:
@@ -718,11 +812,11 @@ class TestDenoise:
         cfg = PipelineConfig(iterations=3)
         base, stats = denoise_with_stats(img, cfg)
         for rows in (1, 2, 3, 7, 43, 44, 45):
-            bins = []
+            counts = ([],)
             chunks = (img[r : r + rows] for r in range(0, img.shape[0], rows))
-            out = np.concatenate(list(_drive(chunks, cfg, bins)))
+            out = np.concatenate(list(_drive(chunks, cfg, counts)))
             assert np.array_equal(out, base), rows
-            assert _pass_stats(bins, cfg)[0] == stats
+            assert counts[0] == stats
 
     def test_bands_match_one_chunk(self):
         # the frame engine cuts the image into bands of _BAND_PX // width

@@ -208,7 +208,7 @@ class TestEquivalenceSweep:
                 eq4_literal_weights=bool(g.integers(0, 2)),
             )
             stream_out, *stream_stats = stream_denoise_with_stats(img, cfg)
-            frame_out, *frame_stats = pipeline._run(img, cfg)
+            frame_out, *frame_stats = pipeline._run(img, cfg, counts=2)
             assert np.array_equal(stream_out, frame_out), f"trial {trial}: {h}x{w} {cfg}"
             assert stream_stats == frame_stats, f"trial {trial}: {h}x{w} {cfg}"
 
