@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import os
 import stat
 import sys
@@ -20,8 +21,8 @@ from pathlib import Path
 
 from .detect import Thresholds, load_thresholds
 from .image import psnr
-from .noise import NoiseSpec, inject_fvin, inject_rvin, write_mask
-from .pgm import PgmFormatError, _raster, _write, read_pgm, write_pgm
+from .noise import NoiseSpec, inject_fvin, inject_rvin, mask_to_gray
+from .pgm import PgmFormatError, _raster, _write, read_pgm
 from .pipeline import PipelineConfig, _chunk_rows, _drive, denoise, median_filter
 from .pipeline import write_class_stats_csv
 
@@ -158,8 +159,10 @@ def _cmd_inject(args) -> int:
     spec = NoiseSpec(args.kind, p=args.p, p1=args.p1, p2=args.p2, m=args.m, seed=args.seed)
     _require_output_dirs(args.output, args.mask)
     noisy, mask = NOISE_KINDS[args.kind](read_pgm(args.input), spec)
-    write_pgm(args.output, noisy)
-    write_mask(args.mask, mask)
+    # neither file is renamed over its path before both are written
+    with _replacing(args.output) as out, _replacing(args.mask) as mask_out:
+        _write(out, noisy.shape, [noisy])
+        _write(mask_out, mask.shape, [mask_to_gray(mask)])
     fraction = int(mask.sum()) / mask.size
     print(f"corrupted {int(mask.sum())}/{mask.size} pixels (fraction {fraction:.6f})")
     return 0
@@ -173,14 +176,8 @@ def _cmd_denoise(args) -> int:
     # grow with the image
     with open(args.input, "rb", buffering=0) as src:
         shape, bands = _raster(src)
-        try:
-            rows = _chunk_rows(shape, 1 if args.engine == "stream" else 0)
-        except ValueError:
-            # a malformed raster is an I/O error (exit 1) before an
-            # undersized image is a usage error, as when it was read whole
-            for _ in bands(1):
-                pass
-            raise
+        # an undersized image is refused from its header, raster unread
+        rows = _chunk_rows(shape, 1 if args.engine == "stream" else 0)
         # class counts, and on the stream engine module counts too
         stats = ([], [])[: 1 + (args.engine == "stream")] if args.stats else ()
         with _replacing(args.output) as dst:
@@ -216,8 +213,9 @@ def _replacing(path: str):
     # not the link; the short name fits wherever the output's own does
     target = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(target), f".mrdenoise-{os.urandom(4).hex()}.tmp")
-    # O_EXCL makes a new file; the kernel takes the umask off 0o666
-    with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+    # O_EXCL makes a new file; the kernel takes the umask off 0o666. Unbuffered,
+    # as a buffer would only copy each header, chunk or row once more
+    with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb", buffering=0) as fh:
         try:
             if st is not None:
                 with suppress(PermissionError):
@@ -280,24 +278,24 @@ def _cmd_eval(args) -> int:
 
     rows = []
     sums: dict[tuple[float, str], float] = {}
-    for img_idx, path in enumerate(paths):
-        clean = read_pgm(path)
-        for d_idx, density in enumerate(densities):
-            spec = NoiseSpec.rvin(density, seed=args.seed + 10007 * img_idx + d_idx)
-            noisy, _ = inject_rvin(clean, spec)
-            for method in methods:
-                start = time.perf_counter()
-                restored = METHODS[method](noisy, cfg)
-                elapsed_ms = (time.perf_counter() - start) * 1000.0
-                quality = psnr(clean, restored)
-                row = (path.stem, "rvin", f"{density:g}", method, f"{quality:.6f}", f"{elapsed_ms:.3f}")
-                rows.append(row)
-                sums[(density, method)] = sums.get((density, method), 0.0) + quality
-
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVAL_HEADER)
-        writer.writerows(rows)
+    # opened before the first cell runs, so an output that cannot be written fails at once
+    with _replacing(args.out) as out:
+        for img_idx, path in enumerate(paths):
+            clean = read_pgm(path)
+            for d_idx, density in enumerate(densities):
+                spec = NoiseSpec.rvin(density, seed=args.seed + 10007 * img_idx + d_idx)
+                noisy, _ = inject_rvin(clean, spec)
+                for method in methods:
+                    start = time.perf_counter()
+                    restored = METHODS[method](noisy, cfg)
+                    elapsed_ms = (time.perf_counter() - start) * 1000.0
+                    quality = psnr(clean, restored)
+                    rows.append((path.stem, "rvin", f"{density:g}", method, f"{quality:.6f}", f"{elapsed_ms:.3f}"))
+                    sums[(density, method)] = sums.get((density, method), 0.0) + quality
+        # made last: a csv writer holds a 128 KiB record buffer while it lives
+        report = io.StringIO()
+        csv.writer(report, lineterminator="\n").writerows([EVAL_HEADER, *rows])
+        out.write(report.getvalue().encode())
 
     print("density  " + "".join(f"{m:>12}" for m in methods))
     for density in densities:

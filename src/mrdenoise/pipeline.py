@@ -15,8 +15,8 @@ decision tree and restored by the filter matched to its class:
 
 The kernel packs each pixel's five predicates into a uint8 code (bit 0
 edge, 1 noisy edge, 2 similar, 3 disordered, 4 candidate) and looks its
-class up in a 32-entry table, built by :func:`_tables` from the one tree,
-:func:`_walk`, that the scalar :func:`classify_window` walks too.
+class up in its pass's 32-entry table, built by :func:`_tables` from the
+one tree, :func:`_walk`, that the scalar :func:`classify_window` walks too.
 
 Each pass reads only the output of the previous pass, which makes
 per-pixel work order-independent. :func:`_drive` runs the passes as a
@@ -54,7 +54,7 @@ similarity meaningless), so candidates are smoothed unconditionally.
 A predicate bit that no class of a call's passes reads is a don't-care in
 that call, whose stage the kernel skips unless module counts are asked for:
 while t5 >= 5 and t1 >= t4, as at the defaults, the noisy-edge bit, and in
-a pass without the rescue the similar bit too (:func:`_read_bits`).
+a pass without the rescue the similar bit too (the ``reads`` of :func:`_tables`).
 """
 
 from __future__ import annotations
@@ -310,22 +310,23 @@ def _pair_restore(taps: np.ndarray) -> np.ndarray:
 
 
 def _edge_stage(
-    taps: np.ndarray, weights_inside_abs: bool, limit: int | None
+    taps: np.ndarray, weights_inside_abs: bool, t2: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bits 0 and 1 of the code of edge pixels (1, plus 2 where :func:`type2_edge`
-    holds; 1 alone with *limit* None, which skips the distance) and their
+    holds; 1 alone with *t2* None, which skips the distance) and their
     :func:`type2_edge_preserve` values, from int16 columns of the center and
     its sixteen line taps in ``_EDGE_TAPS`` order."""
     center, lines = taps[0], taps[1:].reshape(4, 4, -1)  # each line: near, near, far, far
     bits = np.uint8(1)
-    if limit is not None:
+    if t2 is not None:
         d = lines - center
         if weights_inside_abs:
             d[:, 2:] -= center  # the far taps against 2 * center
         np.abs(d, out=d)
-        # at most 2 * (255 + 255) + 510 + 510 = 2040, with the far taps against 2 * center
+        # at most 2 * (255 + 255) + 510 + 510 = 2040, the far taps against 2 *
+        # center: every t2 >= 1020 makes the test false, as 2 * t2 clamped does
         dist = 2 * (d[:, 0] + d[:, 1]) + d[:, 2] + d[:, 3]
-        bits = (dist.min(axis=0) > limit) * np.uint8(2) + bits
+        bits = (dist.min(axis=0) > min(2 * t2, 2040)) * np.uint8(2) + bits
     s = lines.sum(axis=1, dtype=np.int16)  # at most 4 * 255 = 1020
     # at most 2040, at two pixels of 255 and two of 0: the spread is convex in
     # the pixels, so its maximum lies where each is 0 or 255. A 21-bit packed key
@@ -424,11 +425,16 @@ _STAGE_BITS = (
 
 
 @cache
-def _tables(gate_active: bool, skip_npc: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One schedule step's tables, from :func:`_walk` with each stage answering
-    its bit of the code: ``classes[code]`` is the class of each code, and
+def _tables(gate_active: bool, skip_npc: bool, lemma: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """One schedule step's record, from :func:`_walk` with each stage answering
+    its bit of the code: ``classes[code]`` is the class of each code,
     ``runs[code, m]`` how often module ``MODULE_NAMES[m]`` runs on it, counted
-    as callers of the scalar spec count: the sorter, each stage asked, the filter."""
+    as callers of the scalar spec count (the sorter, each stage asked, the
+    filter), and ``reads`` the mask of code bits some class reads: bit b when
+    flipping it turns a code the kernel can emit into one of another class.
+    Under *lemma*, t5 >= 5 and t1 >= t4, no code is edge and similar: the six
+    or more window values within t4 of a similar center hold six ranks, f3 to
+    f5 among them, so each sorted gap lies on one side of the center, within t4."""
     classes = np.zeros(_CODES, np.uint8)
     runs = np.zeros((_CODES, len(MODULE_NAMES)), np.int64)
     for code in range(_CODES):
@@ -444,19 +450,9 @@ def _tables(gate_active: bool, skip_npc: bool) -> tuple[np.ndarray, np.ndarray]:
             counts[_FILTERS[cls]] += 1
         runs[code] = list(counts.values())
     classes.flags.writeable = runs.flags.writeable = False  # cached: every pass shares them
-    return classes, runs
-
-
-@cache
-def _read_bits(gate_active: bool, skip_npc: bool, lemma: bool) -> int:
-    """The mask of code bits some class of the step's table reads: bit b when
-    flipping it turns a code the kernel can emit into one of another class.
-    Under *lemma*, t5 >= 5 and t1 >= t4, no code is edge and similar: the six
-    or more window values within t4 of a similar center hold six ranks, f3 to
-    f5 among them, so each sorted gap lies on one side of the center, within t4."""
-    classes = _tables(gate_active, skip_npc)[0]
     codes = [c for c in range(_CODES) if not (lemma and c & 5 == 5)]
-    return sum({b for c in codes for b in (1, 2, 4, 8, 16) if c ^ b in codes and classes[c] != classes[c ^ b]})
+    reads = sum({b for c in codes for b in (1, 2, 4, 8, 16) if c ^ b in codes and classes[c] != classes[c ^ b]})
+    return classes, runs, reads
 
 
 # pixels per slice of a sparse stage. The edge stage's slice holds the most
@@ -493,12 +489,12 @@ def _iterate_block(
     """Vectorized classify + restore over a stack of padded uint8 blocks.
 
     *padded* stacks n blocks of one shape on its leading axis, one per
-    pass, and ``classes[32 * j : 32 * j + 32]`` is block j's table from
-    :func:`_tables`. Returns the restored blocks and their code planes
-    (uint8, or uint16 past 8 blocks): each pixel's five predicate bits
-    (bit 0 edge, 1 noisy edge, 2 similar, 3 disordered, 4 candidate) plus
-    ``32 * j``, so that one lookup classifies every block and one
-    histogram counts them. The nine 3x3 window planes go through the
+    pass, and row j of the (n, 32) *classes* is block j's table from
+    :func:`_tables`. Returns the restored blocks and their uint8 code
+    planes: each pixel's five predicate bits (bit 0 edge, 1 noisy edge, 2
+    similar, 3 disordered, 4 candidate), which block j looks up in its own
+    row, as each pass of the chip picks its filters from the same five
+    bits. The nine 3x3 window planes go through the
     sorter network, which yields only the five ranks the classifiers and
     filters read, and every dense test runs on uint8 in forms that cannot
     wrap; only ``avg`` widens to int16. The noisy-edge bit is a don't-care
@@ -553,27 +549,21 @@ def _iterate_block(
     avg //= 3  # the sum is at most 3 * 255 + 1 = 766
     del p3, f0, f3, f4, f5, f8  # free what the sparse stages do not read
 
-    # bits 0 and 1 and the line filter value, on edge pixels; the distance is
-    # at most 2040, so every t2 >= 1020 makes the test false, as 2 * t2
-    # clamped to 2040 does
-    limit = min(2 * th.t2, 2040) if reads & 2 else None
+    # bits 0 and 1 and the line filter value, on edge pixels
+    t2 = th.t2 if reads & 2 else None
     i, edge = np.flatnonzero(edge), edge.view(np.uint8)  # flatnonzero runs ~10x faster on bool
     edge_flat, line = edge.ravel(), np.empty(i.size, np.uint8)
     for s, taps in _gather(i, padded, _EDGE_TAPS):
-        edge_flat[i[s]], line[s] = _edge_stage(taps, weights_inside_abs, limit)
+        edge_flat[i[s]], line[s] = _edge_stage(taps, weights_inside_abs, t2)
         del taps  # else it stays alive through the next slice's gather
     code <<= 2
     code |= edge
     del edge, edge_flat
-    # the smallest dtype for 32 * n - 1: uint8 up to 8 blocks, else uint16, as
-    # _drive stacks at most _BAND_PX // 45 blocks (each at least 5 x 9 pixels),
-    # so the code stays below 32 * 728 = 23296
-    code = code.astype(np.min_scalar_type(_CODES * len(code) - 1), copy=False)
-    for j in range(1, len(code)):
-        code[j] += _CODES * j  # a scalar add per block; a broadcast one buffers its operands
 
     _, ne, dis, ns, _, _ = (np.uint8(c) for c in PixelClass)
-    cls = classes.take(code)  # about 3x faster than classes[code] on a 32 K-pixel band
+    cls = np.empty_like(code)
+    for table, c, row in zip(classes, code, cls):  # about 3x faster than table[c]
+        table.take(c, out=row, mode="clip")  # codes are below 32; mode "raise" buffers *out*
     out = center.copy()
     np.copyto(out, avg, casting="unsafe", where=cls == ns)
     del avg
@@ -587,8 +577,8 @@ def _iterate_block(
 
 
 def _schedule(cfg: PipelineConfig) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """The ``(classes, runs)`` tables of each pass of *cfg*, and the code bits
-    its classes read (:func:`_read_bits`).
+    """The cached ``(classes, runs, reads)`` record of :func:`_tables` for
+    each pass of *cfg*.
 
     Only the first pass departs from the full decision tree, as the
     ``iteration1_*`` options select.
@@ -598,7 +588,7 @@ def _schedule(cfg: PipelineConfig) -> list[tuple[np.ndarray, np.ndarray, int]]:
         (not (k == 0 and cfg.iteration1_skips_similarity_gate), k == 0 and cfg.iteration1_skips_noisy_pixel_check)
         for k in range(cfg.iterations)
     ]
-    return [(*_tables(*step), _read_bits(*step, th.t5 >= 5 and th.t1 >= th.t4)) for step in steps]
+    return [_tables(*step, th.t5 >= 5 and th.t1 >= th.t4) for step in steps]
 
 
 # pixels per frame-engine band, and at most per kernel call. A uint8 plane
@@ -615,23 +605,25 @@ def _drive(
 ) -> Iterator[np.ndarray]:
     """Run every pass of *cfg* over uint8 row chunks, yielding restored rows.
 
-    The passes form a pipeline, like the stages of a hardware chain: on
-    each step pass 0 takes the next chunk, and every later pass the rows
-    the pass before it emitted on the previous step, so every block of a
-    step is known before any of them runs. Each pass carries the last four
+    The passes form a pipeline, like the stages of a hardware chain: on each
+    step pass 0 takes the next chunk, and every later pass the rows the pass
+    before it emitted on the previous step, so every block of a step is
+    known before any of them runs. A step visits only the passes that can
+    hold work: rows reach pass k no sooner than step k, and a pass is done
+    once it has taken its end-of-input call. Each pass carries the last four
     padded uint8 rows it has seen; its incoming rows are column-padded and
     joined below the carry (the first rows instead get their top row twice
-    above them). Blocks of one shape from consecutive passes are stacked
-    and restored by one kernel call, of at most ``_BAND_PX`` pixels unless
-    one block alone is larger. A one-row stream thus makes about one call
-    per row for up to 49 passes of 128 columns, and each pass holds four
-    carry rows plus one pending chunk and emits its rows three rows behind
-    the pass before it. After the last chunk, pass k takes its end-of-input
-    call k steps later: the rows the pass before it emitted last, with its
-    last input row replicated twice below them. That is the frame's edge
-    padding, so every chunking of an image gives the same output. The rows
-    of the last pass's end-of-input call leave one at a time, as a row
-    stream expects.
+    above them). Blocks of one shape from consecutive passes are stacked and
+    restored by one kernel call, of at most ``_BAND_PX`` pixels unless one
+    block alone is larger, each block classified by its own pass's table. A
+    one-row stream thus makes about one call per row for up to 49 passes of
+    128 columns, and each pass holds four carry rows plus one pending chunk
+    and emits its rows three rows behind the pass before it. After the last
+    chunk, pass k takes its end-of-input call k steps later: the rows the
+    pass before it emitted last, with its last input row replicated twice
+    below them. That is the frame's edge padding, so every chunking of an
+    image gives the same output. The rows of the last pass's end-of-input
+    call leave one at a time, as a row stream expects.
 
     *stats* names the counts the caller reads, each list getting one dict
     per pass once the last row has left: ``()`` none, ``(classes,)`` class
@@ -641,7 +633,7 @@ def _drive(
     """
     schedule = _schedule(cfg)
     passes = len(schedule)
-    tables = np.concatenate([classes for classes, _, _ in schedule])  # pass k's at 32 * k
+    tables = np.stack([classes for classes, _, _ in schedule])  # pass k's in row k
     reads = [_CODES - 1 if len(stats) > 1 else bits for _, _, bits in schedule]
     hist = np.zeros((passes, _CODES), np.int64)
     carries: list[np.ndarray | None] = [None] * passes
@@ -654,23 +646,26 @@ def _drive(
         n = len(group)
         batch = np.stack(group) if n > 1 else group[0][None]
         group.clear()  # so that one copy of the blocks stays alive through the call
-        classes = tables[_CODES * (end - n) : _CODES * end]
         bits = reduce(or_, reads[end - n : end])  # the bits a class of some block reads
-        out, code = _iterate_block(batch, cfg.thresholds, classes, cfg.eq4_literal_weights, bits)
+        out, code = _iterate_block(batch, cfg.thresholds, tables[end - n : end], cfg.eq4_literal_weights, bits)
         if stats:
-            hist[end - n : end] += np.bincount(code.ravel(), minlength=_CODES * n).reshape(n, _CODES)
+            for counts, c in zip(hist[end - n : end], code):  # each block into its own pass's row
+                counts += np.bincount(c.ravel(), minlength=_CODES)
         inputs[end - n + 1 : end + 1] = out
 
     ending = -1  # once input has ended, the pass taking its end-of-input call
+    front = 0  # the first pass no rows have reached
     cols = None
     for chunk in chain(chunks, repeat(None, passes)):
         if chunk is None:
             ending += 1
         elif cols is None:
             cols = np.clip(np.arange(-2, chunk.shape[1] + 2), 0, chunk.shape[1] - 1)
+        front = min(front + 1, passes)
         fed, inputs = inputs, [None] * (passes + 1)
-        fed[0], fed[passes] = chunk, None  # at k = passes, no block: the last group runs
-        for k, rows in enumerate(fed):
+        fed[0], fed[passes] = chunk, None  # the rows yielded last step are freed
+        for k in range(max(ending, 0), front + 1):  # at k = front, no block: the last group runs
+            rows = fed[k]
             block = carries[k] if k == ending else None
             if rows is not None:
                 padded = rows[:, cols]

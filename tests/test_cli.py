@@ -111,6 +111,22 @@ class TestInject:
         assert capsys.readouterr().err.startswith("error: ")
         assert not noisy.exists()
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["output", "mask"])
+    def test_output_naming_a_directory_writes_nothing(self, tmp_path, sample, capsys, which):
+        # a directory is found only as its output is opened, which may be
+        # after the other is written: neither is renamed over its path
+        _, inp = sample
+        outputs = [tmp_path / "n.pgm", tmp_path / "m.pgm"]
+        for out in outputs:
+            out.write_bytes(b"old")
+        outputs[which] = tmp_path / "dir"
+        outputs[which].mkdir()
+        before = sorted(os.listdir(tmp_path))
+        assert run_cli("inject", inp, *outputs, "--p", "0.1") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(os.listdir(tmp_path)) == before and not os.listdir(outputs[which])
+        assert outputs[1 - which].read_bytes() == b"old"
+
     def test_missing_input_io_error(self, tmp_path):
         assert run_cli("inject", tmp_path / "ghost.pgm", tmp_path / "n.pgm",
                        tmp_path / "m.pgm", "--p", "0.1") == 1
@@ -371,7 +387,7 @@ class TestFileToFile:
     @pytest.mark.parametrize(
         "head, block, blocks",
         [
-            (b"P5 1099511627776 1 255\n" + bytes(10), b"", 0),
+            (b"P5 1099511627776 5 255\n" + bytes(10), b"", 0),
             (b"P5\n64 64\n255\n", bytes(65536), 256),
             (b"P2\n64 64\n255\n", b"7 " * 32768, 256),
         ],
@@ -392,6 +408,22 @@ class TestFileToFile:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not writer.is_alive()
         assert len(written) <= blocks // 64
+        assert os.listdir(tmp_path) == ["in.pgm"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_undersized_pipe_exits_2_from_its_header(self, tmp_path, capsys, engine):
+        # 3 columns are refused before any raster byte is read, however many follow
+        fifo = tmp_path / "in.pgm"
+        os.mkfifo(fifo)
+        writer, written = fifo_feeder(fifo, b"P5 3 99999999999999 255\n", bytes(65536), 256)
+        try:
+            assert run_cli("denoise", fifo, tmp_path / "out.pgm", "--engine", engine) == 2
+        finally:
+            writer.join(timeout=30)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not writer.is_alive()
+        assert len(written) <= 4
         assert os.listdir(tmp_path) == ["in.pgm"]
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -426,10 +458,31 @@ def small_pgm(draw):
     return pgm_bytes(img, draw(st.booleans()))
 
 
+def raster_shape(data: bytes, fifo: bool) -> tuple[int, int] | None:
+    """The shape ``pgm._raster`` takes from *data* in a regular file, or in a
+    pipe, which has no size to check; None where it refuses the input."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "probe.pgm"
+        if fifo:
+            os.mkfifo(path)
+            writer, _ = fifo_feeder(path, data)
+        else:
+            path.write_bytes(data)
+        try:
+            with open(path, "rb", buffering=0) as fh:
+                return pgm._raster(fh)[0]
+        except PgmFormatError:
+            return None
+        finally:
+            if fifo:
+                writer.join(timeout=10)
+
+
 class TestMutatedInput:
     """``denoise`` of any input exits 0 with the library's image exactly when
-    ``read_pgm`` takes the input, and otherwise exits with the documented
-    code, one ``error:`` line and its output directory as it was."""
+    ``read_pgm`` takes the input, 2 when the header passes and declares an
+    undersized image, and otherwise 1; on failure it prints one ``error:``
+    line and leaves its output directory as it was."""
 
     @settings(max_examples=200, deadline=None)
     @given(mutated_pgm(small_pgm()), st.booleans(), st.booleans(), st.integers(1, 8), st.integers(1, 64))
@@ -437,14 +490,17 @@ class TestMutatedInput:
         with tempfile.TemporaryDirectory() as tmp:
             ref = Path(tmp) / "ref.pgm"
             ref.write_bytes(data)
-            try:
-                img = read_pgm(ref)
-            except PgmFormatError:
-                expected = 1  # also where the image is undersized
+            shape = raster_shape(data, fifo)
+            if shape is None:
+                expected = 1
+            elif min(shape) < 5:
+                expected = 2  # refused from the header, whatever the raster holds
             else:
-                expected = 0 if min(img.shape) >= 5 else 2
-                if expected == 0:
-                    write_pgm(ref, denoise(img))
+                try:
+                    write_pgm(ref, denoise(read_pgm(ref)))
+                    expected = 0
+                except PgmFormatError:
+                    expected = 1
             want = ref.read_bytes()
             ref.unlink()
             inp, out = Path(tmp) / "in.pgm", Path(tmp) / "out.pgm"
@@ -606,6 +662,28 @@ class TestEval:
                        "--densities", "0.1", "--methods", "median3") == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert reads == []
+
+    def test_out_naming_a_directory_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        corpus = self.make_corpus(tmp_path, count=1)
+        out = tmp_path / "r"
+        out.mkdir()
+        cells = []
+        monkeypatch.setitem(cli.METHODS, "median3", lambda noisy, cfg: cells.append(1) or median_filter(noisy, 3))
+        before = sorted(os.listdir(tmp_path))
+        assert run_cli("eval", corpus, "--out", out, "--densities", "0.1", "--methods", "median3") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert cells == [] and sorted(os.listdir(tmp_path)) == before and not os.listdir(out)
+
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, capsys):
+        # the second image is malformed, so rows of the first have been made
+        corpus = self.make_corpus(tmp_path, count=1)
+        (corpus / "z.pgm").write_bytes(b"P5\n8 8\n255\nxx")
+        out = tmp_path / "r.csv"
+        out.write_bytes(b"old")
+        before = sorted(os.listdir(tmp_path))
+        assert run_cli("eval", corpus, "--out", out, "--densities", "0.1", "--methods", "median3") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(os.listdir(tmp_path)) == before and out.read_bytes() == b"old"
 
     def test_bad_density_usage_error(self, tmp_path):
         corpus = self.make_corpus(tmp_path, count=1)

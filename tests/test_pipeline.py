@@ -163,6 +163,25 @@ class TestRestorePixel:
 PREDICATE_BITS = ("type1_edge", "type2_edge", "similarity", "disorder", "noisy_pixel")
 
 
+def assert_scalar_codes(block, th, eq4_literal, code):
+    """Assert that each pixel's *code*, from ``_iterate_block`` on the padded
+    *block* with every bit read, holds the scalar predicates of its window."""
+    for (r, c), value in np.ndenumerate(code):
+        w5 = block[r : r + 5, c : c + 5].ravel().tolist()
+        w3 = [w5[i] for i in pipeline._W3]
+        f = sorted(w3)
+        edge = type1_edge(f, th.t1)
+        bits = (
+            edge,
+            # a don't-care off edges: the kernel computes it on edges only
+            type2_edge(w5, th.t2, weights_inside_abs=eq4_literal) if edge else value >> 1 & 1,
+            similarity(w3, th.t4, th.t5),
+            disorder(w3[4], f, th.t3),
+            noisy_pixel(w3[4], f, th.t4),
+        )
+        assert value == sum(b << i for i, b in enumerate(bits)), (th, r, c)
+
+
 # each schedule step's tables, frozen: digit k of the classes is the PixelClass
 # of code k, and digit k of a module's string its runs on code k. Both the
 # scalar spec and the tables walk one tree, so only these literals check
@@ -233,7 +252,7 @@ class TestTruthTable:
     def test_tables_match_scalar_spec(self, monkeypatch, gate_active, skip_npc):
         # each predicate answers with one bit of the code, so the scalar
         # specification walks the code's path through the decision tree
-        classes, runs = _tables(gate_active, skip_npc)
+        classes, runs, _ = _tables(gate_active, skip_npc, False)
         w3, w5 = [0] * 9, [0] * 25
         for code in range(32):
             for bit, name in enumerate(PREDICATE_BITS):
@@ -256,7 +275,7 @@ class TestTruthTable:
 
     @pytest.mark.parametrize(("gate_active", "skip_npc"), list(FROZEN_TABLES))
     def test_tables_frozen(self, gate_active, skip_npc):
-        classes, runs = _tables(gate_active, skip_npc)
+        classes, runs, _ = _tables(gate_active, skip_npc, False)
         want_classes, want_runs = FROZEN_TABLES[gate_active, skip_npc]
         assert "".join(map(str, classes.tolist())) == want_classes
         assert list(want_runs) == list(MODULE_NAMES)
@@ -276,21 +295,8 @@ class TestTruthTable:
                 t5=int(g.integers(0, 9)),
             )
             block = padded(img)
-            _, (code,) = _iterate_block(block[None], th, _tables(True, False)[0], eq4_literal)
-            for (r, c), value in np.ndenumerate(code):
-                w5 = block[r : r + 5, c : c + 5].ravel().tolist()
-                w3 = [w5[i] for i in pipeline._W3]
-                f = sorted(w3)
-                edge = type1_edge(f, th.t1)
-                bits = (
-                    edge,
-                    # a don't-care off edges: the kernel computes it on edges only
-                    type2_edge(w5, th.t2, weights_inside_abs=eq4_literal) if edge else value >> 1 & 1,
-                    similarity(w3, th.t4, th.t5),
-                    disorder(w3[4], f, th.t3),
-                    noisy_pixel(w3[4], f, th.t4),
-                )
-                assert value == sum(b << i for i, b in enumerate(bits)), (trial, r, c)
+            _, (code,) = _iterate_block(block[None], th, _tables(True, False, False)[0][None], eq4_literal)
+            assert_scalar_codes(block, th, eq4_literal, code)
 
 
 # thresholds at and around the uint8 range, where the kernel's clamps act
@@ -327,9 +333,9 @@ class TestThresholdExtremes:
         for n, (t1, t2, t3, t4) in enumerate(itertools.product(EXTREMES, repeat=4)):
             th = Thresholds(*map(integer, (t1, t2, t3, t4, n % 9)))
             gate_active = n % 4 < 2
-            classes, runs = _tables(gate_active, False)
+            classes, runs, _ = _tables(gate_active, False, False)
             block, pixels = blocks[n % 2], windows[n % 2]
-            out, (code,) = _iterate_block(block[None], th, classes, eq4_literal)
+            out, (code,) = _iterate_block(block[None], th, classes[None], eq4_literal)
             counters = dict.fromkeys(MODULE_NAMES, 0)
             for (w5, w3), cls, value in zip(pixels, classes[code].ravel(), out.ravel()):
                 f = sorted(w3)
@@ -379,8 +385,8 @@ class TestPrunedKernel:
             PipelineConfig(th, iterations=1, iteration1_skips_noisy_pixel_check=True, eq4_literal_weights=eq4_literal),
         )
         for classes, _, reads in itertools.chain.from_iterable(map(pipeline._schedule, cfgs)):
-            out, code = _iterate_block(block, th, classes, eq4_literal, reads)
-            exact_out, exact_code = _iterate_block(block, th, classes, eq4_literal)
+            out, code = _iterate_block(block, th, classes[None], eq4_literal, reads)
+            exact_out, exact_code = _iterate_block(block, th, classes[None], eq4_literal)
             assert np.array_equal(classes[code], classes[exact_code]), (th, reads)
             assert np.array_equal(out, exact_out), (th, reads)
             changed += np.count_nonzero(code != exact_code)
@@ -418,30 +424,24 @@ class TestPrunedKernel:
         assert changed
 
 
-class TestCodeDtype:
-    def test_every_stack_reads_back_its_blocks(self, monkeypatch):
-        # a 5-wide image streamed a row at a time gives 5 x 9 blocks, the
-        # smallest, so the largest stack is _BAND_PX // 45 of them. Pass k takes
-        # its first full block 3 * k + 2 steps in, so once that many passes
-        # hold a block at once every stack size up to it has run
-        most, sizes = _BAND_PX // 45, set()
-        kernel = pipeline._iterate_block
-
-        def reading_back(padded, *rest):
-            out, code = kernel(padded, *rest)
-            n = len(padded)
-            # block j's codes offset by 32 * j, in the smallest dtype that holds 32 * n - 1
-            assert np.array_equal(code.reshape(n, -1) >> 5, np.broadcast_to(np.arange(n)[:, None], (n, code[0].size))), n
-            assert code.dtype == (np.uint8 if n <= 8 else np.uint16), n
-            sizes.add(n)
-            return out, code
-
-        monkeypatch.setattr(pipeline, "_iterate_block", reading_back)
-        img = random_image(4900, 3 * most + 3, 5)
-        for _ in _drive((row[None] for row in img), PipelineConfig(iterations=most + 1)):
-            if most in sizes:
-                break
-        assert sizes == set(range(1, most + 1))
+class TestStackedTables:
+    @pytest.mark.parametrize("n", [2, 8, 9, 33])
+    def test_each_block_reads_its_own_table(self, n):
+        # the three distinct tables of the schedule steps in turn, so that
+        # stacked neighbours differ, on impulses in a faint texture, whose
+        # candidates the tables keep, smooth or rescue
+        steps = [_tables(True, False, False), _tables(False, False, False), _tables(True, True, False)]
+        classes = np.stack([steps[j % 3][0] for j in range(n)])
+        texture = [make_rng(j).integers(100, 109, (6, 7), dtype=np.uint8) for j in range(n)]
+        blocks = np.stack([padded(inject_rvin(t, NoiseSpec.rvin(0.2, seed=j))[0]) for j, t in enumerate(texture)])
+        th = Thresholds(t5=4)
+        out, code = _iterate_block(blocks, th, classes, False)
+        assert code.dtype == np.uint8 and code.max() < 32
+        for j in range(n):
+            alone_out, alone_code = _iterate_block(blocks[j][None], th, classes[j][None], False)
+            assert np.array_equal(out[j], alone_out[0]) and np.array_equal(code[j], alone_code[0]), j
+        # the tables matter here: block 0 under block 1's table restores otherwise
+        assert not np.array_equal(out[0], _iterate_block(blocks[:1], th, classes[1:2], False)[0][0])
 
 
 class TestSorter:
@@ -643,7 +643,7 @@ class TestFullDomain:
         img = np.repeat(v[:, None, None], 3, axis=1).repeat(256, axis=2)
         img[:, 1] = v
         block = padded(img.reshape(768, 256))[None]
-        classes = _tables(True, False)[0]
+        classes = _tables(True, False, False)[0][None]
         distance = np.abs(v[:, None].astype(np.int16) - v)  # rows p, columns c
         for t4 in range(300):
             _, (code,) = _iterate_block(block, Thresholds(t1=255, t3=255, t4=t4, t5=6), classes, False)
@@ -661,11 +661,44 @@ class TestFullDomain:
         # t1 = 255 leaves no edge pixel, so only the pair filter's gather runs
         img = np.array(windows, np.uint8).reshape(-1, 3, 3).transpose(1, 0, 2).reshape(3, -1)
         block = padded(img)[None]
-        classes, ranked = _tables(True, False)[0], [sorted(w) for w in windows]
+        classes, ranked = _tables(True, False, False)[0][None], [sorted(w) for w in windows]
         for t3 in range(300):
             _, (code,) = _iterate_block(block, Thresholds(t1=255, t3=t3), classes, False)
             want = [disorder(w[4], f, t3) for w, f in zip(windows, ranked)]
             assert (code[1, 1::3] >> 3 & 1).tolist() == want, t3
+
+    def test_uint8_threshold_clamps(self):
+        # t1, t3 and t4 act clamped to 255. Sorted gaps and distances of 255:
+        # a center of 0 or 255 among k ring values of 255 and 8 - k of 0 (four
+        # or five 255s in all put a gap of 255 at f4/f5 or f3/f4); and extremum
+        # distances of 127 and 128: a center of 127 or 128 between a 0 and a
+        # 255, the nearer extreme within t4 for every t4 >= 128. Each window
+        # has three columns of its own, its center in row 1
+        rings = [[255] * k + [0] * (8 - k) for k in range(9)]
+        windows = [ring[:4] + [c] + ring[4:] for ring in rings for c in (0, 255)]
+        windows += [[0] + [c] * 7 + [255] for c in (127, 128)]
+        img = np.array(windows, np.uint8).reshape(-1, 3, 3).transpose(1, 0, 2).reshape(3, -1)
+        block = padded(img)
+        classes = _tables(True, False, False)[0][None]
+        for n, (t1, t4) in enumerate(itertools.product((127, 128, 254, 255, 256, 10**6), repeat=2)):
+            th = Thresholds(t1=t1, t3=(254, 255, 256)[n % 3], t4=t4, t5=6)
+            _, (code,) = _iterate_block(block[None], th, classes, False)
+            assert_scalar_codes(block, th, False, code)
+            # both sides of each clamp are met: some gap exceeds 254, none 255
+            assert (code[1, 1::3] & 1).any() == (t1 < 255), th
+
+    @pytest.mark.parametrize("t2", [1019, 1020, 1021, 10**6])
+    def test_distance_clamp(self, t2):
+        # a center of 255 on sixteen taps of 0 gives the eq4-literal distance
+        # its bound, 2040, in every direction, where 2 * t2 is clamped. No edge
+        # pixel has such a window (its 3x3 ring would be all 0), so this runs
+        # the edge stage on the column alone; in a kernel call an edge pixel's
+        # distance is at most 1530, which TestDenoise's black-and-white images reach
+        taps = np.zeros((17, 1), np.int16)
+        taps[0] = 255
+        w5 = [0] * 12 + [255] + [0] * 12
+        bits, _ = pipeline._edge_stage(taps, True, t2)
+        assert bits.tolist() == [1 + 2 * type2_edge(w5, t2, weights_inside_abs=True)]
 
 
 def line_extremes(img, eq4_literal: bool) -> tuple[int, int]:
