@@ -23,8 +23,7 @@ from .detect import Thresholds, load_thresholds
 from .image import psnr
 from .noise import NoiseSpec, inject_fvin, inject_rvin, mask_to_gray
 from .pgm import PgmFormatError, _raster, _write, read_pgm
-from .pipeline import PipelineConfig, _chunk_rows, _drive, denoise, median_filter
-from .pipeline import write_class_stats_csv
+from .pipeline import PipelineConfig, _chunk_rows, _drive, _stats_csv, denoise, median_filter
 
 DEFAULT_DENSITIES = (0.05, 0.10, 0.15, 0.20, 0.30, 0.40)
 
@@ -182,11 +181,24 @@ def _cmd_denoise(args) -> int:
         stats = ([], [])[: 1 + (args.engine == "stream")] if args.stats else ()
         with _replacing(args.output) as dst:
             _write(dst, shape, _drive(bands(rows), cfg, stats))
-            # before the rename, so that a stats file that cannot be written
-            # leaves the output as it was
+            # opened after the passes, so they run with one file open; as in
+            # inject, neither file is renamed over its path before both are written
             if args.stats:
-                write_class_stats_csv(args.stats, *stats)
+                with _replacing(args.stats) as out:
+                    out.write(_stats_csv(*stats))
     return 0
+
+
+class _WholeWrites(io.FileIO):
+    """An unbuffered file that writes all it is given or raises. A raw write
+    may write part of its bytes and return their count, as at the file size
+    limit; the rest is written again, and that write raises."""
+
+    def write(self, data) -> int:
+        view = rest = memoryview(data).cast("B")
+        while rest:
+            rest = rest[super().write(rest) :]
+        return len(view)
 
 
 @contextmanager
@@ -215,7 +227,7 @@ def _replacing(path: str):
     tmp = os.path.join(os.path.dirname(target), f".mrdenoise-{os.urandom(4).hex()}.tmp")
     # O_EXCL makes a new file; the kernel takes the umask off 0o666. Unbuffered,
     # as a buffer would only copy each header, chunk or row once more
-    with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb", buffering=0) as fh:
+    with _WholeWrites(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as fh:
         try:
             if st is not None:
                 with suppress(PermissionError):

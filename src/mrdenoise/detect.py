@@ -17,7 +17,6 @@ from .image import _require_int
 
 __all__ = [
     "Thresholds",
-    "parse_thresholds_config",
     "load_thresholds",
     "type1_edge",
     "directional_distances",
@@ -25,8 +24,6 @@ __all__ = [
     "disorder",
     "noisy_pixel",
     "similarity",
-    "NEAR_PIXELS",
-    "FAR_PIXELS",
 ]
 
 
@@ -66,15 +63,15 @@ class Thresholds:
             raise ValueError("t5 counts 3x3 neighbors and cannot exceed 8")
 
 
-def parse_thresholds_config(text: str) -> Thresholds:
-    """Parse thresholds from plain ``key=value`` text.
+def load_thresholds(path: str | os.PathLike) -> Thresholds:
+    """Read thresholds from a plain-text ``key=value`` file.
 
     Keys are t1..t5 (each optional, defaults fill the rest); ``#`` starts
     a comment; blank lines are ignored.
     """
     names = ("t1", "t2", "t3", "t4", "t5")
     values: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -93,11 +90,6 @@ def parse_thresholds_config(text: str) -> Thresholds:
                 f"line {lineno}: invalid integer for {key}: {value.strip()!r}"
             ) from None
     return Thresholds(**values)
-
-
-def load_thresholds(path: str | os.PathLike) -> Thresholds:
-    """Read a plain-text key=value threshold config file."""
-    return parse_thresholds_config(Path(path).read_text(encoding="utf-8"))
 
 
 def type1_edge(f, t1: int) -> bool:

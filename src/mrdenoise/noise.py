@@ -10,27 +10,21 @@ bit generator. Each pixel consumes exactly two uniform doubles in raster
 order: first the replace/keep decision, then the replacement value. This
 fixed draw order makes corrupted corpora reproducible bit-for-bit from
 (image, spec) alone.
+
+A mask is a 2-D boolean array, True where a pixel was replaced. It is
+stored as a {0, 255} PGM: ``write_pgm(path, mask_to_gray(mask))`` writes
+it and ``read_pgm(path) == 255`` reads it back.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .image import PEAK, _require_int, as_gray
-from .pgm import read_pgm, write_pgm
 
-__all__ = [
-    "NoiseSpec",
-    "inject_rvin",
-    "inject_fvin",
-    "mask_to_gray",
-    "gray_to_mask",
-    "write_mask",
-    "read_mask",
-]
+__all__ = ["NoiseSpec", "inject_rvin", "inject_fvin", "mask_to_gray"]
 
 
 # noise kind -> the NoiseSpec fields its injector reads
@@ -78,11 +72,6 @@ class NoiseSpec:
     @classmethod
     def fvin(cls, p1: float, p2: float, m: int = 0, seed: int = 0) -> "NoiseSpec":
         return cls(kind="fvin", p1=p1, p2=p2, m=m, seed=seed)
-
-    @property
-    def density(self) -> float:
-        """Total corruption probability (the fields a kind does not use are zero)."""
-        return self.p + self.p1 + self.p2
 
 
 def _inject(img, seed, low: float, high: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,20 +125,3 @@ def mask_to_gray(mask) -> np.ndarray:
         raise ValueError("mask must be a 2-D boolean array")
     return np.where(m, np.uint8(PEAK), np.uint8(0))
 
-
-def gray_to_mask(img) -> np.ndarray:
-    """Recover a boolean mask from its {0, 255} grayscale rendering."""
-    arr = as_gray(img)
-    if not np.isin(arr, (0, PEAK)).all():
-        raise ValueError("mask image must contain only the values 0 and 255")
-    return arr == PEAK
-
-
-def write_mask(path: str | os.PathLike, mask) -> None:
-    """Serialize a corruption mask as a binary PGM with values {0, 255}."""
-    write_pgm(path, mask_to_gray(mask))
-
-
-def read_mask(path: str | os.PathLike) -> np.ndarray:
-    """Read a corruption mask previously written by :func:`write_mask`."""
-    return gray_to_mask(read_pgm(path))

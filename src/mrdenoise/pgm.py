@@ -95,7 +95,9 @@ def _field(fields: list, token: bytes, whole: bool = True) -> None:
     if not whole:
         return
     value = token if what == "magic" else int(token)
-    if what == "height" and (fields[1] < 1 or value < 1):
+    # no file or array holds more samples than sys.maxsize, and every count
+    # an error message prints then stays within int()'s digit limit
+    if what == "height" and (fields[1] < 1 or value < 1 or fields[1] * value > sys.maxsize):
         raise PgmFormatError(f"invalid PGM dimensions {fields[1]}x{value}")
     if what == "maxval" and value != PEAK:
         raise PgmFormatError(f"unsupported maxval {value} (only {PEAK} accepted)")

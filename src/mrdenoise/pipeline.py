@@ -85,15 +85,12 @@ from .restore import _PAIRS, average_restore, type1_edge_preserve, type2_edge_pr
 __all__ = [
     "PixelClass",
     "PipelineConfig",
-    "classify",
     "classify_window",
     "restore_pixel",
     "denoise",
     "denoise_with_stats",
     "median_filter",
     "write_class_stats_csv",
-    "MIN_SIZE",
-    "MAX_ITERATIONS",
     "MODULE_NAMES",
 ]
 
@@ -764,10 +761,15 @@ def write_class_stats_csv(
     Streaming-engine module invocation counts, when provided, are appended
     as extra rows with the class column spelled ``stream.<module>``.
     """
+    with open(path, "wb") as fh:
+        fh.write(_stats_csv(class_counts, module_counts))
+
+
+def _stats_csv(class_counts: list[dict[PixelClass, int]], module_counts: list[dict[str, int]] | None = None) -> bytes:
+    """The bytes :func:`write_class_stats_csv` writes."""
     lines = ["iteration,class,count"]
     for i, counts in enumerate(class_counts, start=1):
         lines += [f"{i},{cls.label},{counts.get(cls, 0)}" for cls in PixelClass]
     for i, modules in enumerate(module_counts or (), start=1):
         lines += [f"{i},stream.{name},{count}" for name, count in modules.items()]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return ("\n".join(lines) + "\n").encode()

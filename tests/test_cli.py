@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -25,14 +26,25 @@ from mrdenoise import (
     Thresholds,
     denoise,
     inject_rvin,
+    mask_to_gray,
     median_filter,
     psnr,
-    read_mask,
     read_pgm,
     write_pgm,
 )
 from mrdenoise import cli, pgm, pipeline
 from mrdenoise.pipeline import MAX_ITERATIONS
+
+
+def run_child(*argv, file_size: int | None = None) -> subprocess.CompletedProcess:
+    """``python -m mrdenoise *argv`` in a child process that imports the same
+    package copy as the tests, its files limited to *file_size* bytes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limit = None if file_size is None else lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (file_size, file_size))
+    return subprocess.run(
+        [sys.executable, "-m", "mrdenoise", *map(str, argv)], capture_output=True, text=True, env=env, preexec_fn=limit
+    )
 
 
 def run_cli(*argv) -> int:
@@ -67,7 +79,7 @@ class TestInject:
                        "--kind", "rvin", "--p", "0.25", "--seed", "9") == 0
         noisy, mask = inject_rvin(img, NoiseSpec.rvin(0.25, seed=9))
         assert np.array_equal(read_pgm(tmp_path / "n.pgm"), noisy)
-        assert np.array_equal(read_mask(tmp_path / "m.pgm"), mask)
+        assert np.array_equal(read_pgm(tmp_path / "m.pgm"), mask_to_gray(mask))
 
     def test_zero_probability_output_identical(self, tmp_path, sample):
         _, inp = sample
@@ -81,7 +93,7 @@ class TestInject:
                        "--kind", "fvin", "--p1", "0.1", "--p2", "0.1", "--m", "5",
                        "--seed", "3") == 0
         noisy = read_pgm(tmp_path / "n.pgm")
-        mask = read_mask(tmp_path / "m.pgm")
+        mask = read_pgm(tmp_path / "m.pgm") == 255
         replaced = noisy[mask].astype(int)
         assert (((replaced <= 5)) | (replaced >= 250)).all()
 
@@ -390,8 +402,9 @@ class TestFileToFile:
             (b"P5 1099511627776 5 255\n" + bytes(10), b"", 0),
             (b"P5\n64 64\n255\n", bytes(65536), 256),
             (b"P2\n64 64\n255\n", b"7 " * 32768, 256),
+            (b"P5 " + b"9" * 4300 + b" 10 255\n", b"", 0),
         ],
-        ids=["huge_width", "endless_p5", "endless_p2"],
+        ids=["huge_width", "endless_p5", "endless_p2", "count_past_maxsize"],
     )
     def test_hostile_pipe_exits_1(self, tmp_path, capsys, engine, head, block, blocks):
         # a pipe's bands grow only as bytes arrive, and the raster is
@@ -425,6 +438,41 @@ class TestFileToFile:
         assert not writer.is_alive()
         assert len(written) <= 4
         assert os.listdir(tmp_path) == ["in.pgm"]
+
+    @pytest.mark.parametrize("magic", [b"P5", b"P2"])
+    def test_raster_count_past_maxsize_exits_1(self, tmp_path, capsys, magic):
+        # 4300 nines by 10: each number passes int()'s digit limit, but their
+        # product, which no file holds, has 4301 digits
+        inp = tmp_path / "in.pgm"
+        inp.write_bytes(magic + b" " + b"9" * 4300 + b" 10 255\n")
+        assert run_cli("denoise", inp, tmp_path / "out.pgm") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid PGM dimensions") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["in.pgm"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("stats", [False, True], ids=["image", "stats"])
+    def test_past_the_file_size_limit_writes_nothing(self, tmp_path, engine, stats):
+        # a write past RLIMIT_FSIZE fails with EFBIG (Python ignores SIGXFSZ),
+        # but the write that reaches the limit writes part of its bytes and
+        # returns their count. Image: the limit falls one byte short, in its
+        # last write. Stats: 200 passes of an 8 x 8 image write some 20 KB of
+        # rows against a limit of 2048 bytes. Either way the command exits 1
+        # and leaves both files as they were
+        inp, out, csv_path = tmp_path / "in.pgm", tmp_path / "out.pgm", tmp_path / "stats.csv"
+        write_pgm(inp, random_image(95, 8, 8))
+        out.write_bytes(b"old image")
+        csv_path.write_bytes(b"old stats")
+        before = sorted(os.listdir(tmp_path))
+        argv = ["denoise", inp, out, "--engine", engine]
+        if stats:
+            proc = run_child(*argv, "--iterations", 200, "--stats", csv_path, file_size=2048)
+        else:
+            proc = run_child(*argv, file_size=len(inp.read_bytes()) - 1)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert (out.read_bytes(), csv_path.read_bytes()) == (b"old image", b"old stats")
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("ascii_format", [False, True], ids=["P5", "P2"])
@@ -765,16 +813,7 @@ class TestEntryPoint:
         inp = tmp_path / "in.pgm"
         write_pgm(inp, img)
         out = tmp_path / "out.pgm"
-        # the child process imports the same package copy as this test
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "mrdenoise", "denoise", str(inp), str(out),
-             "--iterations", "1"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_child("denoise", inp, out, "--iterations", 1)
         assert proc.returncode == 0, proc.stderr
         from mrdenoise import PipelineConfig
 

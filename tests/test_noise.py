@@ -9,11 +9,11 @@ from mrdenoise import NoiseSpec, inject_fvin, inject_rvin
 class TestNoiseSpec:
     def test_rvin_constructor(self):
         spec = NoiseSpec.rvin(0.25, seed=9)
-        assert spec.kind == "rvin" and spec.p == 0.25 and spec.density == 0.25
+        assert spec.kind == "rvin" and spec.p == 0.25 and spec.seed == 9
 
     def test_fvin_density(self):
         spec = NoiseSpec.fvin(0.1, 0.2, m=5)
-        assert spec.density == pytest.approx(0.3)
+        assert (spec.kind, spec.p, spec.p1, spec.p2, spec.m) == ("fvin", 0.0, 0.1, 0.2, 5)
 
     @pytest.mark.parametrize(
         "kwargs",

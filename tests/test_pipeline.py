@@ -46,7 +46,7 @@ from mrdenoise.pipeline import (
     classify,
     classify_window,
 )
-from mrdenoise.restore import _PAIRS, type1_edge_preserve, type2_edge_preserve
+from mrdenoise.restore import _PAIRS, average_restore, type1_edge_preserve, type2_edge_preserve
 
 
 def padded(img):
@@ -686,6 +686,53 @@ class TestFullDomain:
             assert_scalar_codes(block, th, False, code)
             # both sides of each clamp are met: some gap exceeds 254, none 255
             assert (code[1, 1::3] & 1).any() == (t1 < 255), th
+
+    @staticmethod
+    def every_code(cls: PixelClass, n: int = 1) -> np.ndarray:
+        """Tables for *n* stacked blocks that give every code the class *cls*."""
+        return np.full((n, 32), cls, np.uint8)
+
+    def test_avg_form(self):
+        # f3 + f4 + f5 + 1 over its whole range, 1 to 766 = 3 * 255 + 1: window
+        # s holds four s // 3, one (s + 1) // 3 and four (s + 2) // 3, so its
+        # ranks 3, 4 and 5 sum to s; each window has three columns of its own,
+        # its center in row 1. Every code maps to NoisySmooth, so every pixel
+        # takes avg
+        windows = [[s // 3] * 4 + [(s + 1) // 3] + [(s + 2) // 3] * 4 for s in range(766)]
+        img = np.array(windows, np.uint8).reshape(-1, 3, 3).transpose(1, 0, 2).reshape(3, -1)
+        out, _ = _iterate_block(padded(img)[None], Thresholds(), self.every_code(PixelClass.NOISY_SMOOTH), False)
+        assert out[0, 1, 1::3].tolist() == [average_restore(sorted(w)) for w in windows]
+
+    def test_pair_form(self):
+        # every pair (a, b) of values, so a + b + 1 runs up to 511: each window's
+        # four center-symmetric pairs (3, 5), (1, 7), (0, 8) and (2, 6) all hold
+        # (a, b). The windows tile a 768 x 768 image in 3 x 3 cells, and every
+        # code maps to Disordered, so the pair filter restores every pixel
+        a, b = (v.ravel() for v in np.meshgrid(np.arange(256), np.arange(256), indexing="ij"))
+        windows = np.stack([a, a, a, a, a, b, b, b, b], axis=1).astype(np.uint8)
+        img = windows.reshape(256, 256, 3, 3).transpose(0, 2, 1, 3).reshape(768, 768)
+        out, _ = _iterate_block(padded(img)[None], Thresholds(), self.every_code(PixelClass.DISORDERED), False)
+        assert out[0, 1::3, 1::3].ravel().tolist() == [type1_edge_preserve(w) for w in windows.tolist()]
+
+    @pytest.mark.parametrize("n, h, w", [(1, 6, 5), (3, 1, 9), (4, 5, 1)])
+    def test_gather_corner_form(self, n, h, w):
+        # j + 4 * (j // w + width * (j // (h * w))) is the top-left corner of
+        # pixel j's 5x5 window in a stack of n padded blocks: the first pixel's
+        # top-left tap is the stack's first byte, and the last pixel's
+        # bottom-right tap its last. With t1 = 0 both are edge pixels, and every
+        # code maps to NoisyEdge, then to Disordered, so the line filter
+        # restores every edge pixel from its gathered taps and the pair filter
+        # every pixel. The pads are random too, as any bytes may pad a block
+        blocks = np.stack([random_image(7000 + j, h + 4, w + 4) for j in range(n)])
+        for cls in (PixelClass.NOISY_EDGE, PixelClass.DISORDERED):
+            out, code = _iterate_block(blocks, Thresholds(t1=0), self.every_code(cls, n), False)
+            assert code[0, 0, 0] & 1 and code[-1, -1, -1] & 1
+            for (j, r, c), value in np.ndenumerate(out):
+                w5 = blocks[j, r : r + 5, c : c + 5].ravel().tolist()
+                w3 = [w5[i] for i in pipeline._W3]
+                # the kernel runs the line filter on edge pixels only
+                keep = cls == PixelClass.NOISY_EDGE and not code[j, r, c] & 1
+                assert value == (w3[4] if keep else restore_pixel(cls, w3, w5, sorted(w3))), (cls, j, r, c)
 
     @pytest.mark.parametrize("t2", [1019, 1020, 1021, 10**6])
     def test_distance_clamp(self, t2):
