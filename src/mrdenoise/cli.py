@@ -13,17 +13,15 @@ import csv
 import dataclasses
 import io
 import os
-import stat
 import sys
 import time
-from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .detect import Thresholds, load_thresholds
 from .image import psnr
 from .noise import NoiseSpec, inject_fvin, inject_rvin, mask_to_gray
-from .pgm import PgmFormatError, _raster, _write, read_pgm
-from .pipeline import PipelineConfig, _chunk_rows, _drive, _stats_csv, denoise, median_filter
+from .pgm import PgmFormatError, _raster, _replacing, _write, read_pgm, write_pgm
+from .pipeline import PipelineConfig, _chunk_rows, _drive, denoise, median_filter, write_class_stats_csv
 
 DEFAULT_DENSITIES = (0.05, 0.10, 0.15, 0.20, 0.30, 0.40)
 
@@ -158,10 +156,10 @@ def _cmd_inject(args) -> int:
     spec = NoiseSpec(args.kind, p=args.p, p1=args.p1, p2=args.p2, m=args.m, seed=args.seed)
     _require_output_dirs(args.output, args.mask)
     noisy, mask = NOISE_KINDS[args.kind](read_pgm(args.input), spec)
-    # neither file is renamed over its path before both are written
-    with _replacing(args.output) as out, _replacing(args.mask) as mask_out:
+    # the mask is renamed first, and neither file before both are written
+    with _replacing(args.output) as out:
         _write(out, noisy.shape, [noisy])
-        _write(mask_out, mask.shape, [mask_to_gray(mask)])
+        write_pgm(args.mask, mask_to_gray(mask))
     fraction = int(mask.sum()) / mask.size
     print(f"corrupted {int(mask.sum())}/{mask.size} pixels (fraction {fraction:.6f})")
     return 0
@@ -184,61 +182,8 @@ def _cmd_denoise(args) -> int:
             # opened after the passes, so they run with one file open; as in
             # inject, neither file is renamed over its path before both are written
             if args.stats:
-                with _replacing(args.stats) as out:
-                    out.write(_stats_csv(*stats))
+                write_class_stats_csv(args.stats, *stats)
     return 0
-
-
-class _WholeWrites(io.FileIO):
-    """An unbuffered file that writes all it is given or raises. A raw write
-    may write part of its bytes and return their count, as at the file size
-    limit; the rest is written again, and that write raises."""
-
-    def write(self, data) -> int:
-        view = rest = memoryview(data).cast("B")
-        while rest:
-            rest = rest[super().write(rest) :]
-        return len(view)
-
-
-@contextmanager
-def _replacing(path: str):
-    """Open *path* for writing so that an error leaves it as it was.
-
-    A missing or regular file, reached through any symlinks, is written to a
-    temporary file beside it, renamed over it on success and removed on any
-    error, so an input that is that same file reads as it was until the
-    rename. The temporary file gets what ``open(path, "wb")`` would keep:
-    an existing file's mode and, where the user may set them, its owner and
-    group, else 0o666 less the umask. Any other file, such as a FIFO or a
-    terminal, is written straight and never replaced.
-    """
-    try:
-        st = os.stat(path)
-    except FileNotFoundError:
-        st = None
-    if st is not None and not stat.S_ISREG(st.st_mode):
-        with open(path, "wb") as fh:
-            yield fh
-        return
-    # beside the file a symlink names, so the rename replaces that file and
-    # not the link; the short name fits wherever the output's own does
-    target = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(target), f".mrdenoise-{os.urandom(4).hex()}.tmp")
-    # O_EXCL makes a new file; the kernel takes the umask off 0o666. Unbuffered,
-    # as a buffer would only copy each header, chunk or row once more
-    with _WholeWrites(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as fh:
-        try:
-            if st is not None:
-                with suppress(PermissionError):
-                    os.fchown(fh.fileno(), st.st_uid, st.st_gid)
-                os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
-            yield fh
-            fh.close()
-            os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
-            raise
 
 
 def _comma_list(text: str, what: str, convert) -> list:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 from .image import _require_int
 
@@ -32,6 +31,9 @@ __all__ = [
 # touch the center; far pixels sit at distance two and carry half weight.
 NEAR_PIXELS = ((11, 13), (7, 17), (6, 18), (8, 16))
 FAR_PIXELS = ((10, 14), (2, 22), (0, 24), (4, 20))
+
+# a threshold file's five lines need far fewer bytes; a device or pipe is refused
+_CONFIG_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,15 @@ def load_thresholds(path: str | os.PathLike) -> Thresholds:
     """Read thresholds from a plain-text ``key=value`` file.
 
     Keys are t1..t5 (each optional, defaults fill the rest); ``#`` starts
-    a comment; blank lines are ignored.
+    a comment; blank lines are ignored. A file over 64 KiB is refused.
     """
+    with open(path, "rb") as fh:
+        data = fh.read(_CONFIG_BYTES + 1)
+    if len(data) > _CONFIG_BYTES:
+        raise ValueError(f"threshold file is longer than {_CONFIG_BYTES} bytes")
     names = ("t1", "t2", "t3", "t4", "t5")
     values: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,4 +1,4 @@
-"""Bit-exact PGM image I/O: binary ``P5`` and ASCII ``P2``, maxval 255.
+"""Bit-exact PGM image I/O, maxval 255: ``P5`` and ``P2`` read, ``P5`` written.
 
 One reader serves every caller and never holds the whole file. It checks
 each header field as its token arrives, then reads the raster in chunks of
@@ -9,7 +9,8 @@ One band filler counts the samples of both formats, and one digit bound
 holds every header number and P2 sample. A band grows only as its samples
 arrive and the reader holds only the token in hand, so a pipe, which has no
 size to check the header against, never makes it hold more than it has
-sent, and a header that cannot pass is refused unread.
+sent, and a header that cannot pass is refused unread. Every file the
+package writes opens through :func:`_replacing`, so an error leaves it as it was.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import re
 import stat
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager, suppress
 from itertools import chain
 
 import numpy as np
@@ -98,9 +100,9 @@ def _field(fields: list, token: bytes, whole: bool = True) -> None:
     # no file or array holds more samples than sys.maxsize, and every count
     # an error message prints then stays within int()'s digit limit
     if what == "height" and (fields[1] < 1 or value < 1 or fields[1] * value > sys.maxsize):
-        raise PgmFormatError(f"invalid PGM dimensions {fields[1]}x{value}")
+        raise PgmFormatError(f"invalid PGM dimensions {str(fields[1])[:16]}x{str(value)[:16]}")
     if what == "maxval" and value != PEAK:
-        raise PgmFormatError(f"unsupported maxval {value} (only {PEAK} accepted)")
+        raise PgmFormatError(f"unsupported maxval {str(value)[:16]} (only {PEAK} accepted)")
     fields.append(value)
 
 
@@ -265,26 +267,73 @@ def _scan(body: bytes, partial: bool) -> np.ndarray:
     return sample[: sample.size - partial].astype(np.uint8)
 
 
-def write_pgm(path: str | os.PathLike, img, *, ascii_format: bool = False) -> None:
-    """Write *img* as a PGM file: binary P5 by default, ASCII P2 on request.
+def write_pgm(path: str | os.PathLike, img) -> None:
+    """Write *img* as a binary P5 PGM file; an error leaves *path* as it was.
 
     Output bytes depend only on the pixel data, so equal images always
     produce byte-identical files.
     """
     arr = as_gray(img)
-    with open(path, "wb") as fh:
-        _write(fh, arr.shape, [arr], ascii_format)
+    with _replacing(path) as fh:
+        _write(fh, arr.shape, [arr])
 
 
-def _write(fh: io.IOBase, shape: tuple[int, int], chunks: Iterable[np.ndarray], ascii_format: bool = False) -> None:
-    """Write a PGM of *shape* to *fh*, its raster from *chunks* of rows as they come."""
+def _write(fh: io.IOBase, shape: tuple[int, int], chunks: Iterable[np.ndarray]) -> None:
+    """Write a P5 PGM of *shape* to *fh*, its raster from *chunks* of rows as they come."""
     h, w = shape
-    fh.write(f"P{2 if ascii_format else 5}\n{w} {h}\n255\n".encode())
+    fh.write(f"P5\n{w} {h}\n255\n".encode())
     for chunk in chunks:
-        if ascii_format:
-            # a row at a time; tolist() yields Python ints, so no numpy scalar is formatted
-            for row in chunk:
-                fh.write(" ".join(map(str, row.tolist())).encode() + b"\n")
-        else:
-            # the raster goes out from the array's own buffer, uncopied
-            fh.write(np.ascontiguousarray(chunk).data)
+        # the raster goes out from the array's own buffer, uncopied
+        fh.write(np.ascontiguousarray(chunk).data)
+
+
+class _WholeWrites(io.FileIO):
+    """An unbuffered file that writes all it is given or raises. A raw write
+    may write part of its bytes and return their count, as at the file size
+    limit; the rest is written again, and that write raises."""
+
+    def write(self, data) -> int:
+        view = rest = memoryview(data).cast("B")
+        while rest:
+            rest = rest[super().write(rest) :]
+        return len(view)
+
+
+@contextmanager
+def _replacing(path: str | os.PathLike):
+    """Open *path* for writing so that an error leaves it as it was.
+
+    A missing or regular file, reached through any symlinks, is written to a
+    temporary file beside it, renamed over it on success and removed on any
+    error, so an input that is that same file reads as it was until the
+    rename. The temporary file gets what ``open(path, "wb")`` would keep:
+    an existing file's mode and, where the user may set them, its owner and
+    group, else 0o666 less the umask. Any other file, such as a FIFO or a
+    terminal, is written straight and never replaced.
+    """
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    # beside the file a symlink names, so the rename replaces that file and
+    # not the link; the short name fits wherever the output's own does
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".mrdenoise-{os.urandom(4).hex()}.tmp")
+    # O_EXCL makes a new file; the kernel takes the umask off 0o666. Unbuffered,
+    # as a buffer would only copy each header, chunk or row once more
+    with _WholeWrites(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as fh:
+        try:
+            if st is not None:
+                with suppress(PermissionError):
+                    os.fchown(fh.fileno(), st.st_uid, st.st_gid)
+                os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+            yield fh
+            fh.close()
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise

@@ -80,6 +80,7 @@ from .detect import (
     type2_edge,
 )
 from .image import _require_int, as_gray
+from .pgm import _replacing
 from .restore import _PAIRS, average_restore, type1_edge_preserve, type2_edge_preserve
 
 __all__ = [
@@ -759,17 +760,13 @@ def write_class_stats_csv(
     """Write per-iteration statistics as ``iteration,class,count`` rows.
 
     Streaming-engine module invocation counts, when provided, are appended
-    as extra rows with the class column spelled ``stream.<module>``.
+    as extra rows with the class column spelled ``stream.<module>``. Like
+    :func:`~mrdenoise.pgm.write_pgm`, an error leaves *path* as it was.
     """
-    with open(path, "wb") as fh:
-        fh.write(_stats_csv(class_counts, module_counts))
-
-
-def _stats_csv(class_counts: list[dict[PixelClass, int]], module_counts: list[dict[str, int]] | None = None) -> bytes:
-    """The bytes :func:`write_class_stats_csv` writes."""
     lines = ["iteration,class,count"]
     for i, counts in enumerate(class_counts, start=1):
         lines += [f"{i},{cls.label},{counts.get(cls, 0)}" for cls in PixelClass]
     for i, modules in enumerate(module_counts or (), start=1):
         lines += [f"{i},stream.{name},{count}" for name, count in modules.items()]
-    return ("\n".join(lines) + "\n").encode()
+    with _replacing(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())

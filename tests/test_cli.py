@@ -36,14 +36,20 @@ from mrdenoise import cli, pgm, pipeline
 from mrdenoise.pipeline import MAX_ITERATIONS
 
 
-def run_child(*argv, file_size: int | None = None) -> subprocess.CompletedProcess:
-    """``python -m mrdenoise *argv`` in a child process that imports the same
-    package copy as the tests, its files limited to *file_size* bytes."""
+def run_child(*argv, file_size: int | None = None, memory: int | None = None) -> subprocess.CompletedProcess:
+    """``python *argv`` in a child process that imports the same package copy
+    as the tests, its files limited to *file_size* bytes and its address
+    space to *memory* bytes, and killed after a minute."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    limit = None if file_size is None else lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (file_size, file_size))
+
+    def limit():
+        for which, value in ((resource.RLIMIT_FSIZE, file_size), (resource.RLIMIT_AS, memory)):
+            if value is not None:
+                resource.setrlimit(which, (value, value))
+
     return subprocess.run(
-        [sys.executable, "-m", "mrdenoise", *map(str, argv)], capture_output=True, text=True, env=env, preexec_fn=limit
+        [sys.executable, *map(str, argv)], capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60
     )
 
 
@@ -448,6 +454,16 @@ class TestFileToFile:
         assert run_cli("denoise", inp, tmp_path / "out.pgm") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid PGM dimensions") and err.count("\n") == 1
+        # the numbers are printed cut to 16 digits, like any header token
+        assert len(err) <= 80, f"{len(err)} bytes"
+        assert os.listdir(tmp_path) == ["in.pgm"]
+
+    def test_long_maxval_exits_1_on_one_short_line(self, tmp_path, capsys):
+        inp = tmp_path / "in.pgm"
+        inp.write_bytes(b"P5 5 5 " + b"9" * 4300 + b"\n" + bytes(25))
+        assert run_cli("denoise", inp, tmp_path / "out.pgm") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unsupported maxval {'9' * 16} (only 255 accepted)\n"
         assert os.listdir(tmp_path) == ["in.pgm"]
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -464,7 +480,7 @@ class TestFileToFile:
         out.write_bytes(b"old image")
         csv_path.write_bytes(b"old stats")
         before = sorted(os.listdir(tmp_path))
-        argv = ["denoise", inp, out, "--engine", engine]
+        argv = ["-m", "mrdenoise", "denoise", inp, out, "--engine", engine]
         if stats:
             proc = run_child(*argv, "--iterations", 200, "--stats", csv_path, file_size=2048)
         else:
@@ -473,6 +489,30 @@ class TestFileToFile:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
         assert (out.read_bytes(), csv_path.read_bytes()) == (b"old image", b"old stats")
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            "write_pgm(path, np.zeros((64, 64), np.uint8))",
+            "write_class_stats_csv(path, [{}] * 200, [{'sorter': 1}] * 200)",
+        ],
+        ids=["write_pgm", "write_class_stats_csv"],
+    )
+    def test_failed_library_write_leaves_target(self, tmp_path, write):
+        # the library writers go through _replacing, as the CLI's outputs do:
+        # past a file size limit of 2048 bytes each raises EFBIG and leaves
+        # its target byte-identical, with no temporary file behind
+        path = tmp_path / "target"
+        path.write_bytes(b"old bytes\n" * 300)
+        code = (
+            "import errno, sys; import numpy as np; from mrdenoise import write_pgm, write_class_stats_csv\n"
+            f"path = sys.argv[1]\ntry:\n    {write}\nexcept OSError as exc:\n    sys.exit(exc.errno != errno.EFBIG)\n"
+            "sys.exit('no error')"
+        )
+        proc = run_child("-c", code, path, file_size=2048)
+        assert proc.returncode == 0, proc.stderr
+        assert path.read_bytes() == b"old bytes\n" * 300
+        assert os.listdir(tmp_path) == ["target"]
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("ascii_format", [False, True], ids=["P5", "P2"])
@@ -488,7 +528,7 @@ class TestFileToFile:
         assert run_cli("denoise", inp, out, "--engine", engine) == 0  # caches warm
         peaks = []
         for height in heights:
-            write_pgm(inp, random_image(height, height, width), ascii_format=ascii_format)
+            inp.write_bytes(pgm_bytes(random_image(height, height, width), ascii_format))
             gc.collect()
             tracemalloc.start()
             try:
@@ -622,6 +662,17 @@ class TestConfigFile:
         assert run_cli("denoise", inp, tmp_path / "o.pgm", "--config", config) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o.pgm").exists()
+
+    def test_endless_file_usage_error(self, tmp_path, sample):
+        # a device or an endless pipe is refused past 64 KiB, never read
+        # whole: under a 600 MB address space limit it exits 2, with no
+        # traceback and no output (read whole, it raised MemoryError)
+        _, inp = sample
+        out = tmp_path / "o.pgm"
+        proc = run_child("-m", "mrdenoise", "denoise", inp, out, "--config", "/dev/zero", memory=600_000_000)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: threshold file is longer than 65536 bytes\n"
+        assert not out.exists()
 
     def test_missing_file_io_error(self, tmp_path, sample, capsys):
         _, inp = sample
@@ -813,7 +864,7 @@ class TestEntryPoint:
         inp = tmp_path / "in.pgm"
         write_pgm(inp, img)
         out = tmp_path / "out.pgm"
-        proc = run_child("denoise", inp, out, "--iterations", 1)
+        proc = run_child("-m", "mrdenoise", "denoise", inp, out, "--iterations", 1)
         assert proc.returncode == 0, proc.stderr
         from mrdenoise import PipelineConfig
 
