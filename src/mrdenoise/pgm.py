@@ -325,7 +325,11 @@ def _replacing(path: str | os.PathLike):
     tmp = os.path.join(os.path.dirname(target), f".mrdenoise-{os.urandom(4).hex()}.tmp")
     # O_EXCL makes a new file; the kernel takes the umask off 0o666. Unbuffered,
     # as a buffer would only copy each header, chunk or row once more
-    with _WholeWrites(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as fh:
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named for the caller's path, not the temporary one
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    with _WholeWrites(fd, "w") as fh:
         try:
             if st is not None:
                 with suppress(PermissionError):

@@ -22,13 +22,13 @@ Each pass reads only the output of the previous pass, which makes
 per-pixel work order-independent. :func:`_drive` runs the passes as a
 pipeline over a stream of row chunks: each pass's restored rows reach the
 next pass one step later, and the blocks of one step go through the
-kernel stacked in one call. It takes cache-sized bands of rows for the
-frame engine (:func:`denoise`) and one row per chunk for the stream
-engine (:mod:`mrdenoise.stream`), as :func:`_chunk_rows` picks; every
-chunking gives the same result. The library enters it through ``_run``,
-which slices an image array into chunks and joins the output rows;
-``mrdenoise denoise`` feeds it bands read from the input file and writes
-each row as it leaves. The
+kernel in one call, joined side by side in one contiguous plane. It
+takes cache-sized bands of rows for the frame engine (:func:`denoise`)
+and one row per chunk for the stream engine (:mod:`mrdenoise.stream`),
+as :func:`_chunk_rows` picks; every chunking gives the same result. The
+library enters it through ``_run``, which slices an image array into
+chunks and joins the output rows; ``mrdenoise denoise`` feeds it bands
+read from the input file and writes each row as it leaves. The
 kernel, :func:`classify` and :func:`median_filter` read one window
 layout: the 25 views of a 2-pixel-padded frame, 3x3 at ``_W3``. The
 driver carries its blocks as uint8, as an 8-bit datapath would: the
@@ -158,10 +158,10 @@ _W3 = (6, 7, 8, 11, 12, 13, 16, 17, 18)
 
 
 def _window_planes(padded: np.ndarray, taps: Iterable[int]) -> list[np.ndarray]:
-    """The shifted views of a 2-pixel-padded frame, or of a stack of them on
-    leading axes, at the given positions of the row-major 5x5 window."""
-    h, w = padded.shape[-2] - 4, padded.shape[-1] - 4
-    return [padded[..., t // 5 : t // 5 + h, t % 5 : t % 5 + w] for t in taps]
+    """The shifted views of a 2-pixel-padded plane, a frame or blocks joined
+    side by side, at the given positions of the row-major 5x5 window."""
+    h, w = padded.shape[0] - 4, padded.shape[1] - 4
+    return [padded[t // 5 : t // 5 + h, t % 5 : t % 5 + w] for t in taps]
 
 
 def _walk(test, gate_active: bool, skip_noisy_pixel_check: bool) -> PixelClass:
@@ -466,33 +466,39 @@ def _gather(i: np.ndarray, padded: np.ndarray, taps) -> Iterator[tuple[slice, np
     column k of the int16 array t holds the *taps* (rows, columns in the 5x5
     window) of pixel ``i[s][k]``.
 
-    *i* indexes the pixels of a contiguous stack of the blocks of *padded*,
-    without the pad, as a kernel output plane lays them out.
+    *i* indexes the pixels of the contiguous 2-D *padded*, without its
+    2-pixel border, as a kernel output plane lays them out: for blocks
+    joined side by side, each block's pixels and the windows that straddle
+    two blocks.
     """
-    flat, width = padded.ravel(), padded.shape[-1]
-    h, w = padded.shape[-2] - 4, width - 4
+    flat, width = padded.ravel(), padded.shape[1]
+    w = width - 4  # the output plane's columns
     offsets = (taps[0] * width + taps[1])[:, None]
     for start in range(0, i.size, _SLICE_PX):
         s = slice(start, start + _SLICE_PX)
         j = i[s]
-        # pixel j, of block j // (h * w), has the top-left corner of its 5x5
-        # window at j + 4 * (j // w) + 4 * width * (j // (h * w))
-        corner = j + 4 * (j // w + width * (j // (h * w)))
+        # pixel j, in output row j // w, has the top-left corner of its 5x5
+        # window at j + 4 * (j // w)
+        corner = j + 4 * (j // w)
         yield s, flat[corner + offsets].astype(np.int16)
 
 
 def _iterate_block(
     padded: np.ndarray, th: Thresholds, classes: np.ndarray, weights_inside_abs: bool, reads: int = _CODES - 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized classify + restore over a stack of padded uint8 blocks.
+    """Vectorized classify + restore over padded uint8 blocks joined side by side.
 
-    *padded* stacks n blocks of one shape on its leading axis, one per
-    pass, and row j of the (n, 32) *classes* is block j's table from
-    :func:`_tables`. Returns the restored blocks and their uint8 code
-    planes: each pixel's five predicate bits (bit 0 edge, 1 noisy edge, 2
-    similar, 3 disordered, 4 candidate), which block j looks up in its own
-    row, as each pass of the chip picks its filters from the same five
-    bits. The nine 3x3 window planes go through the
+    *padded* is one contiguous 2-D plane: n blocks of one shape, one per
+    pass, joined along the columns, each with its own 2-pixel pad, and row
+    j of the (n, 32) *classes* is block j's table from :func:`_tables`.
+    Returns the restored plane and its uint8 code plane, each of the
+    plane's width less 4: each pixel's five predicate bits (bit 0 edge, 1
+    noisy edge, 2 similar, 3 disordered, 4 candidate). A block of w pixel
+    columns owns output columns ``[j * (w + 4), j * (w + 4) + w)``; the
+    four after each join are windows that straddle two blocks, computed
+    and left for the caller to drop. Each block's column segment looks its
+    codes up in its own row, as each pass of the chip picks its filters
+    from the same five bits. The nine 3x3 window planes go through the
     sorter network, which yields only the five ranks the classifiers and
     filters read, and every dense test runs on uint8 in forms that cannot
     wrap; only ``avg`` widens to int16. The noisy-edge bit is a don't-care
@@ -560,8 +566,10 @@ def _iterate_block(
 
     _, ne, dis, ns, _, _ = (np.uint8(c) for c in PixelClass)
     cls = np.empty_like(code)
-    for table, c, row in zip(classes, code, cls):  # about 3x faster than table[c]
-        table.take(c, out=row, mode="clip")  # codes are below 32; mode "raise" buffers *out*
+    width = padded.shape[1] // len(classes)  # of each block, its pad included
+    for j, table in enumerate(classes):  # about 3x faster than table[code]
+        seg = np.s_[:, j * width : (j + 1) * width]  # block j's columns and the straddles after them
+        table.take(code[seg], out=cls[seg], mode="clip")  # codes are below 32; mode "raise" buffers *out*
     out = center.copy()
     np.copyto(out, avg, casting="unsafe", where=cls == ns)
     del avg
@@ -611,17 +619,19 @@ def _drive(
     once it has taken its end-of-input call. Each pass carries the last four
     padded uint8 rows it has seen; its incoming rows are column-padded and
     joined below the carry (the first rows instead get their top row twice
-    above them). Blocks of one shape from consecutive passes are stacked and
-    restored by one kernel call, of at most ``_BAND_PX`` pixels unless one
-    block alone is larger, each block classified by its own pass's table. A
-    one-row stream thus makes about one call per row for up to 49 passes of
-    128 columns, and each pass holds four carry rows plus one pending chunk
-    and emits its rows three rows behind the pass before it. After the last
-    chunk, pass k takes its end-of-input call k steps later: the rows the
-    pass before it emitted last, with its last input row replicated twice
-    below them. That is the frame's edge padding, so every chunking of an
-    image gives the same output. The rows of the last pass's end-of-input
-    call leave one at a time, as a row stream expects.
+    above them). Blocks of one shape from consecutive passes are joined side
+    by side, each with its own pad columns, and restored by one kernel call
+    on that contiguous plane, of at most ``_BAND_PX`` pixels unless one
+    block alone is larger, each block classified by its own pass's table.
+    No window that straddles two blocks reaches a pass, the output or a
+    count. A one-row stream thus makes about one call per row for up to 49
+    passes of 128 columns, and each pass holds four carry rows plus one
+    pending chunk and emits its rows three rows behind the pass before it.
+    After the last chunk, pass k takes its end-of-input call k steps later:
+    the rows the pass before it emitted last, with its last input row
+    replicated twice below them. That is the frame's edge padding, so every
+    chunking of an image gives the same output. The rows of the last pass's
+    end-of-input call leave one at a time, as a row stream expects.
 
     *stats* names the counts the caller reads, each list getting one dict
     per pass once the last row has left: ``()`` none, ``(classes,)`` class
@@ -642,14 +652,17 @@ def _drive(
     def run(end: int) -> None:
         """Restore the grouped blocks, of passes end - len(group) .. end - 1, in one call."""
         n = len(group)
-        batch = np.stack(group) if n > 1 else group[0][None]
+        batch = np.concatenate(group, axis=1) if n > 1 else group[0]
         group.clear()  # so that one copy of the blocks stays alive through the call
         bits = reduce(or_, reads[end - n : end])  # the bits a class of some block reads
         out, code = _iterate_block(batch, cfg.thresholds, tables[end - n : end], cfg.eq4_literal_weights, bits)
+        width = batch.shape[1] // n  # of each block, its pad included
+        # block j's output columns; the four after each join straddle two blocks
+        segments = [np.s_[:, j * width : (j + 1) * width - 4] for j in range(n)]
         if stats:
-            for counts, c in zip(hist[end - n : end], code):  # each block into its own pass's row
-                counts += np.bincount(c.ravel(), minlength=_CODES)
-        inputs[end - n + 1 : end + 1] = out
+            for counts, seg in zip(hist[end - n : end], segments):  # each block into its own pass's row
+                counts += np.bincount(code[seg].ravel(), minlength=_CODES)
+        inputs[end - n + 1 : end + 1] = [out[seg] for seg in segments]
 
     ending = -1  # once input has ended, the pass taking its end-of-input call
     front = 0  # the first pass no rows have reached

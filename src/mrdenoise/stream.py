@@ -7,7 +7,8 @@ this engine one image row per chunk, from an array through
 runs the passes as a pipeline, like the stages of a hardware
 chain: on each row step every pass works on the row the pass before it
 emitted on the previous step, and one kernel call restores the one-row
-blocks of all passes stacked together. Each pass holds its last four
+blocks of all passes joined side by side in one contiguous plane, each
+block with its own pad columns. Each pass holds its last four
 padded rows plus one pending row, and emits its rows three rows behind
 the pass before it (the first pass two rows behind its input), so
 working memory is O(width x passes) rather than O(width x height).

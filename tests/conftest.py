@@ -31,10 +31,11 @@ def slanted_step(n: int = 32, low: int = 40, high: int = 200, thresh: float = 24
     return np.where(x + 0.5 * y >= thresh, high, low).astype(np.uint8)
 
 
-def scalar_pass(img, cfg, gate_active: bool, skip_npc: bool = False, counters=None) -> np.ndarray:
+def scalar_pass(img, cfg, gate_active: bool, skip_npc: bool = False, counters=None, classes=None) -> np.ndarray:
     """One classify-and-restore pass, pixel by pixel from the scalar specification.
 
-    ``counters``, when given, is bumped per stage the specification runs.
+    ``counters``, when given, is bumped per stage the specification runs,
+    and ``classes`` per pixel of each class.
     """
     padded = np.pad(img, 2, mode="edge").tolist()
     h, w = img.shape
@@ -56,5 +57,7 @@ def scalar_pass(img, cfg, gate_active: bool, skip_npc: bool = False, counters=No
                 weights_inside_abs=cfg.eq4_literal_weights,
                 counters=counters,
             )
+            if classes is not None:
+                classes[cls] += 1
             out[r, c] = restore_pixel(cls, w3, w5, f, counters)
     return out

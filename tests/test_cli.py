@@ -514,6 +514,24 @@ class TestFileToFile:
         assert path.read_bytes() == b"old bytes\n" * 300
         assert os.listdir(tmp_path) == ["target"]
 
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: write_pgm(path, np.zeros((8, 8), np.uint8)),
+            lambda path: pipeline.write_class_stats_csv(path, [{}]),
+        ],
+        ids=["write_pgm", "write_class_stats_csv"],
+    )
+    def test_library_write_into_missing_directory_names_its_path(self, tmp_path, write):
+        # the temporary file beside the target cannot be made, and the error
+        # names the path the caller gave, not the temporary one
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(FileNotFoundError) as excinfo:
+            write(path)
+        assert excinfo.value.filename == str(path)
+        assert str(excinfo.value) == f"[Errno 2] No such file or directory: '{path}'"
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("ascii_format", [False, True], ids=["P5", "P2"])
     def test_peak_does_not_grow_with_height(self, tmp_path, engine, ascii_format):

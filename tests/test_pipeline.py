@@ -295,7 +295,7 @@ class TestTruthTable:
                 t5=int(g.integers(0, 9)),
             )
             block = padded(img)
-            _, (code,) = _iterate_block(block[None], th, _tables(True, False, False)[0][None], eq4_literal)
+            _, code = _iterate_block(block, th, _tables(True, False, False)[0][None], eq4_literal)
             assert_scalar_codes(block, th, eq4_literal, code)
 
 
@@ -335,7 +335,7 @@ class TestThresholdExtremes:
             gate_active = n % 4 < 2
             classes, runs, _ = _tables(gate_active, False, False)
             block, pixels = blocks[n % 2], windows[n % 2]
-            out, (code,) = _iterate_block(block[None], th, classes[None], eq4_literal)
+            out, code = _iterate_block(block, th, classes[None], eq4_literal)
             counters = dict.fromkeys(MODULE_NAMES, 0)
             for (w5, w3), cls, value in zip(pixels, classes[code].ravel(), out.ravel()):
                 f = sorted(w3)
@@ -402,7 +402,7 @@ class TestPrunedKernel:
 
     @pytest.mark.parametrize("eq4_literal", [False, True])
     def test_threshold_extremes_inputs(self, eq4_literal):
-        blocks = [padded(TestThresholdExtremes.image(seed))[None] for seed in (4700, 4701)]
+        blocks = [padded(TestThresholdExtremes.image(seed)) for seed in (4700, 4701)]
         grid = [Thresholds(*t, n % 9) for n, t in enumerate(itertools.product(EXTREMES, repeat=4))]
         changed = sum(self.check(blocks[n % 2], th, eq4_literal) for n, th in enumerate(grid + list(LEMMA_EDGES)))
         assert changed
@@ -416,7 +416,7 @@ class TestPrunedKernel:
         img = np.frombuffer(noisy_pgm(256, kind, p)[-256 * 256 :], np.uint8).reshape(256, 256)
         changed = 0
         for th in LEMMA_EDGES:
-            changed += self.check(padded(img)[None], th, eq4_literal)
+            changed += self.check(padded(img), th, eq4_literal)
             cfg = PipelineConfig(th, eq4_literal_weights=eq4_literal)
             out, stats = denoise_with_stats(img, cfg)
             exact_out, exact_stats, _ = pipeline._run(img, cfg, counts=2)
@@ -425,23 +425,29 @@ class TestPrunedKernel:
 
 
 class TestStackedTables:
+    """Blocks joined side by side in one kernel call: each block's column
+    segment is what the block gives alone, under its own row of the tables."""
+
     @pytest.mark.parametrize("n", [2, 8, 9, 33])
     def test_each_block_reads_its_own_table(self, n):
         # the three distinct tables of the schedule steps in turn, so that
-        # stacked neighbours differ, on impulses in a faint texture, whose
+        # joined neighbours differ, on impulses in a faint texture, whose
         # candidates the tables keep, smooth or rescue
         steps = [_tables(True, False, False), _tables(False, False, False), _tables(True, True, False)]
         classes = np.stack([steps[j % 3][0] for j in range(n)])
         texture = [make_rng(j).integers(100, 109, (6, 7), dtype=np.uint8) for j in range(n)]
-        blocks = np.stack([padded(inject_rvin(t, NoiseSpec.rvin(0.2, seed=j))[0]) for j, t in enumerate(texture)])
+        blocks = [padded(inject_rvin(t, NoiseSpec.rvin(0.2, seed=j))[0]) for j, t in enumerate(texture)]
+        width = blocks[0].shape[1]  # a block's columns, its pad included
         th = Thresholds(t5=4)
-        out, code = _iterate_block(blocks, th, classes, False)
+        out, code = _iterate_block(np.concatenate(blocks, axis=1), th, classes, False)
+        assert out.shape == code.shape == (6, n * width - 4)
         assert code.dtype == np.uint8 and code.max() < 32
-        for j in range(n):
-            alone_out, alone_code = _iterate_block(blocks[j][None], th, classes[j][None], False)
-            assert np.array_equal(out[j], alone_out[0]) and np.array_equal(code[j], alone_code[0]), j
+        for j, block in enumerate(blocks):
+            seg = np.s_[:, j * width : (j + 1) * width - 4]
+            alone_out, alone_code = _iterate_block(block, th, classes[j][None], False)
+            assert np.array_equal(out[seg], alone_out) and np.array_equal(code[seg], alone_code), j
         # the tables matter here: block 0 under block 1's table restores otherwise
-        assert not np.array_equal(out[0], _iterate_block(blocks[:1], th, classes[1:2], False)[0][0])
+        assert not np.array_equal(out[:, : width - 4], _iterate_block(blocks[0], th, classes[1:2], False)[0])
 
 
 class TestSorter:
@@ -642,11 +648,11 @@ class TestFullDomain:
         v = np.arange(256, dtype=np.uint8)
         img = np.repeat(v[:, None, None], 3, axis=1).repeat(256, axis=2)
         img[:, 1] = v
-        block = padded(img.reshape(768, 256))[None]
+        block = padded(img.reshape(768, 256))
         classes = _tables(True, False, False)[0][None]
         distance = np.abs(v[:, None].astype(np.int16) - v)  # rows p, columns c
         for t4 in range(300):
-            _, (code,) = _iterate_block(block, Thresholds(t1=255, t3=255, t4=t4, t5=6), classes, False)
+            _, code = _iterate_block(block, Thresholds(t1=255, t3=255, t4=t4, t5=6), classes, False)
             assert np.array_equal(code[1::3] >> 2 & 1, distance <= t4), t4
 
     def test_disorder_two_sided_form(self):
@@ -660,10 +666,10 @@ class TestFullDomain:
         # each window in three columns of its own, its center in row 1;
         # t1 = 255 leaves no edge pixel, so only the pair filter's gather runs
         img = np.array(windows, np.uint8).reshape(-1, 3, 3).transpose(1, 0, 2).reshape(3, -1)
-        block = padded(img)[None]
+        block = padded(img)
         classes, ranked = _tables(True, False, False)[0][None], [sorted(w) for w in windows]
         for t3 in range(300):
-            _, (code,) = _iterate_block(block, Thresholds(t1=255, t3=t3), classes, False)
+            _, code = _iterate_block(block, Thresholds(t1=255, t3=t3), classes, False)
             want = [disorder(w[4], f, t3) for w, f in zip(windows, ranked)]
             assert (code[1, 1::3] >> 3 & 1).tolist() == want, t3
 
@@ -682,14 +688,14 @@ class TestFullDomain:
         classes = _tables(True, False, False)[0][None]
         for n, (t1, t4) in enumerate(itertools.product((127, 128, 254, 255, 256, 10**6), repeat=2)):
             th = Thresholds(t1=t1, t3=(254, 255, 256)[n % 3], t4=t4, t5=6)
-            _, (code,) = _iterate_block(block[None], th, classes, False)
+            _, code = _iterate_block(block, th, classes, False)
             assert_scalar_codes(block, th, False, code)
             # both sides of each clamp are met: some gap exceeds 254, none 255
             assert (code[1, 1::3] & 1).any() == (t1 < 255), th
 
     @staticmethod
     def every_code(cls: PixelClass, n: int = 1) -> np.ndarray:
-        """Tables for *n* stacked blocks that give every code the class *cls*."""
+        """Tables for *n* joined blocks that give every code the class *cls*."""
         return np.full((n, 32), cls, np.uint8)
 
     def test_avg_form(self):
@@ -700,8 +706,8 @@ class TestFullDomain:
         # takes avg
         windows = [[s // 3] * 4 + [(s + 1) // 3] + [(s + 2) // 3] * 4 for s in range(766)]
         img = np.array(windows, np.uint8).reshape(-1, 3, 3).transpose(1, 0, 2).reshape(3, -1)
-        out, _ = _iterate_block(padded(img)[None], Thresholds(), self.every_code(PixelClass.NOISY_SMOOTH), False)
-        assert out[0, 1, 1::3].tolist() == [average_restore(sorted(w)) for w in windows]
+        out, _ = _iterate_block(padded(img), Thresholds(), self.every_code(PixelClass.NOISY_SMOOTH), False)
+        assert out[1, 1::3].tolist() == [average_restore(sorted(w)) for w in windows]
 
     def test_pair_form(self):
         # every pair (a, b) of values, so a + b + 1 runs up to 511: each window's
@@ -711,28 +717,30 @@ class TestFullDomain:
         a, b = (v.ravel() for v in np.meshgrid(np.arange(256), np.arange(256), indexing="ij"))
         windows = np.stack([a, a, a, a, a, b, b, b, b], axis=1).astype(np.uint8)
         img = windows.reshape(256, 256, 3, 3).transpose(0, 2, 1, 3).reshape(768, 768)
-        out, _ = _iterate_block(padded(img)[None], Thresholds(), self.every_code(PixelClass.DISORDERED), False)
-        assert out[0, 1::3, 1::3].ravel().tolist() == [type1_edge_preserve(w) for w in windows.tolist()]
+        out, _ = _iterate_block(padded(img), Thresholds(), self.every_code(PixelClass.DISORDERED), False)
+        assert out[1::3, 1::3].ravel().tolist() == [type1_edge_preserve(w) for w in windows.tolist()]
 
     @pytest.mark.parametrize("n, h, w", [(1, 6, 5), (3, 1, 9), (4, 5, 1)])
     def test_gather_corner_form(self, n, h, w):
-        # j + 4 * (j // w + width * (j // (h * w))) is the top-left corner of
-        # pixel j's 5x5 window in a stack of n padded blocks: the first pixel's
-        # top-left tap is the stack's first byte, and the last pixel's
-        # bottom-right tap its last. With t1 = 0 both are edge pixels, and every
-        # code maps to NoisyEdge, then to Disordered, so the line filter
-        # restores every edge pixel from its gathered taps and the pair filter
-        # every pixel. The pads are random too, as any bytes may pad a block
-        blocks = np.stack([random_image(7000 + j, h + 4, w + 4) for j in range(n)])
+        # j + 4 * (j // (width - 4)) is the top-left corner of pixel j's 5x5
+        # window in a padded plane of width columns, here n blocks of w + 4
+        # joined side by side: the first pixel's top-left tap is the plane's
+        # first byte, and the last pixel's bottom-right tap its last. With t1 =
+        # 0 both are edge pixels, and every code maps to NoisyEdge, then to
+        # Disordered, so the line filter restores every edge pixel from its
+        # gathered taps and the pair filter every pixel, the windows that
+        # straddle two blocks too. The pads are random, as any bytes may pad a block
+        plane = np.concatenate([random_image(7000 + j, h + 4, w + 4) for j in range(n)], axis=1)
         for cls in (PixelClass.NOISY_EDGE, PixelClass.DISORDERED):
-            out, code = _iterate_block(blocks, Thresholds(t1=0), self.every_code(cls, n), False)
-            assert code[0, 0, 0] & 1 and code[-1, -1, -1] & 1
-            for (j, r, c), value in np.ndenumerate(out):
-                w5 = blocks[j, r : r + 5, c : c + 5].ravel().tolist()
+            out, code = _iterate_block(plane, Thresholds(t1=0), self.every_code(cls, n), False)
+            assert out.shape == (h, n * (w + 4) - 4)
+            assert code[0, 0] & 1 and code[-1, -1] & 1
+            for (r, c), value in np.ndenumerate(out):
+                w5 = plane[r : r + 5, c : c + 5].ravel().tolist()
                 w3 = [w5[i] for i in pipeline._W3]
                 # the kernel runs the line filter on edge pixels only
-                keep = cls == PixelClass.NOISY_EDGE and not code[j, r, c] & 1
-                assert value == (w3[4] if keep else restore_pixel(cls, w3, w5, sorted(w3))), (cls, j, r, c)
+                keep = cls == PixelClass.NOISY_EDGE and not code[r, c] & 1
+                assert value == (w3[4] if keep else restore_pixel(cls, w3, w5, sorted(w3))), (cls, r, c)
 
     @pytest.mark.parametrize("t2", [1019, 1020, 1021, 10**6])
     def test_distance_clamp(self, t2):
@@ -933,14 +941,14 @@ class TestDenoise:
     @pytest.mark.parametrize("iterations", [1, 2, 3, 10])
     def test_kernel_calls_linear_in_passes(self, monkeypatch, iterations):
         # one block per pass per chunk, plus one end-of-input block per pass;
-        # a kernel call may stack the blocks of several passes
+        # a kernel call may join the blocks of several passes, one table each
         blocks = 0
         kernel = pipeline._iterate_block
 
-        def counting(padded, *rest):
+        def counting(padded, th, classes, *rest):
             nonlocal blocks
-            blocks += len(padded)
-            return kernel(padded, *rest)
+            blocks += len(classes)
+            return kernel(padded, th, classes, *rest)
 
         monkeypatch.setattr(pipeline, "_iterate_block", counting)
         img = random_image(58, 96, 20)

@@ -26,9 +26,10 @@ BIG = 10**6
 
 
 def scalar_oracle(img, cfg, gate_active, skip_npc):
-    """Output and stage counts of one pass, from the scalar specification on every pixel."""
-    counters = dict.fromkeys(MODULE_NAMES, 0)
-    return scalar_pass(img, cfg, gate_active, skip_npc, counters), counters
+    """Output, class counts and stage counts of one pass, from the scalar
+    specification on every pixel."""
+    classes, counters = dict.fromkeys(PixelClass, 0), dict.fromkeys(MODULE_NAMES, 0)
+    return scalar_pass(img, cfg, gate_active, skip_npc, counters, classes), classes, counters
 
 
 class TestRowRing:
@@ -174,8 +175,8 @@ class TestStreamStats:
         )
         out, _, module_stats = stream_denoise_with_stats(noisy, cfg)
         pass1 = denoise(noisy, dataclasses.replace(cfg, iterations=1))
-        oracle1, counts1 = scalar_oracle(noisy, cfg, not skip_gate, skip_npc)
-        oracle2, counts2 = scalar_oracle(oracle1, cfg, True, False)
+        oracle1, _, counts1 = scalar_oracle(noisy, cfg, not skip_gate, skip_npc)
+        oracle2, _, counts2 = scalar_oracle(oracle1, cfg, True, False)
         assert np.array_equal(pass1, oracle1)
         assert np.array_equal(out, oracle2)
         assert module_stats == [counts1, counts2]
@@ -184,10 +185,9 @@ class TestStreamStats:
 
 class TestEquivalenceSweep:
     def test_random_shapes_and_configs(self):
-        # up to 12 passes, past the 8 stacked blocks at which a uint8 code
-        # index would wrap, and heights below the stream's lag of about three
-        # rows per pass; both first-pass flags make the first pass's table
-        # differ from the later ones
+        # up to 12 passes, so that a stream step joins up to 12 blocks, and
+        # heights below the stream's lag of about three rows per pass; both
+        # first-pass flags make the first pass's table differ from the later ones
         g = make_rng(58)
         for trial in range(24):
             iterations = int(g.integers(1, 13))
@@ -213,17 +213,52 @@ class TestEquivalenceSweep:
             assert stream_stats == frame_stats, f"trial {trial}: {h}x{w} {cfg}"
 
 
+class TestStraddleColumns:
+    """The four output columns after each join of a kernel call, windows that
+    straddle two blocks, never reach a pass, the output or a count."""
+
+    @pytest.mark.parametrize("w", range(5, 10))
+    def test_narrow_stream_matches_scalar_oracle(self, w):
+        # at widths 5 to 9 the straddle columns are four of each block's w + 4
+        # output columns, on impulses in a faint texture. Skipping the first
+        # pass's candidate check or its rescue gives that pass a table of its
+        # own beside the joined later passes
+        g = make_rng(5900 + w)
+        for iterations, skip_gate, skip_npc in ((2, False, False), (5, False, True), (12, True, False)):
+            h = int(g.integers(5, 3 * iterations + 6))
+            texture = g.integers(90, 110, (h, w), dtype=np.uint8)
+            img, _ = inject_rvin(texture, NoiseSpec.rvin(0.3, seed=w + iterations))
+            cfg = PipelineConfig(
+                iterations=iterations,
+                iteration1_skips_similarity_gate=skip_gate,
+                iteration1_skips_noisy_pixel_check=skip_npc,
+            )
+            out, class_stats, module_stats = stream_denoise_with_stats(img, cfg)
+            expected, want_classes, want_modules = img, [], []
+            for k in range(iterations):
+                first = k == 0
+                expected, classes, modules = scalar_oracle(expected, cfg, not (first and skip_gate), first and skip_npc)
+                want_classes.append(classes)
+                want_modules.append(modules)
+            assert np.array_equal(out, expected), (w, iterations)
+            assert class_stats == want_classes, (w, iterations)
+            assert module_stats == want_modules, (w, iterations)
+
+
 class TestPipelinedCalls:
-    """What the kernel receives: one stacked call per stream step, capped in size."""
+    """What the kernel receives: one call per stream step, its blocks joined
+    side by side, capped in size. Each call is recorded as (blocks, rows,
+    columns per block), a block's pad included."""
 
     @staticmethod
     def record(monkeypatch):
         shapes = []
         kernel = pipeline._iterate_block
 
-        def recording(padded, *rest):
-            shapes.append(padded.shape)
-            return kernel(padded, *rest)
+        def recording(padded, th, classes, *rest):
+            n = len(classes)  # one table per block
+            shapes.append((n, padded.shape[0], padded.shape[1] // n))
+            return kernel(padded, th, classes, *rest)
 
         monkeypatch.setattr(pipeline, "_iterate_block", recording)
         return shapes
@@ -248,7 +283,7 @@ class TestPipelinedCalls:
             assert n * rows * cols <= max(rows * cols, pipeline._BAND_PX), (n, rows, cols)
         per_call = pipeline._BAND_PX // (5 * 1028)
         assert max(n for n, _, _ in shapes) == per_call
-        # uncapped, each of the stream's 64 + 40 steps would stack all its
+        # uncapped, each of the stream's 64 + 40 steps would join all its
         # one-row blocks into one call
         assert len([s for s in shapes if s[1] == 5]) > 64 + 40
 
