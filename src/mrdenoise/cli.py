@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 2 on usage errors (bad flags, undersized or
 otherwise invalid inputs), 1 on I/O failures (unreadable files, missing
-output directories, malformed PGM content). All commands are
+output directories, malformed PGM content, memory exhausted). All commands are
 deterministic given their flags and seed.
 """
 
@@ -57,7 +57,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
         help="plain-text key=value threshold file (t1..t5); explicit --tN flags override",
     )
     parser.add_argument(
-        "--iterations", type=int, default=2, help="number of passes (default %(default)s)"
+        "--iterations", type=int, default=PipelineConfig.iterations, help="number of passes (default %(default)s)"
     )
     parser.add_argument(
         "--eq4-literal",
@@ -265,8 +265,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (PgmFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PgmFormatError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate; a bare one says nothing
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ center, or 25 values with index 12 the center).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .image import _require_int
 
@@ -54,7 +54,7 @@ class Thresholds:
     t5: int = 6
 
     def __post_init__(self):
-        for name in ("t1", "t2", "t3", "t4", "t5"):
+        for name in (f.name for f in fields(self)):
             # stored as a Python int: a numpy integer would carry its dtype into
             # the kernel's uint8 arithmetic and, under numpy 2, widen it
             value = _require_int(name, getattr(self, name))
@@ -75,7 +75,7 @@ def load_thresholds(path: str | os.PathLike) -> Thresholds:
         data = fh.read(_CONFIG_BYTES + 1)
     if len(data) > _CONFIG_BYTES:
         raise ValueError(f"threshold file is longer than {_CONFIG_BYTES} bytes")
-    names = ("t1", "t2", "t3", "t4", "t5")
+    names = {f.name for f in fields(Thresholds)}
     values: dict[str, int] = {}
     for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

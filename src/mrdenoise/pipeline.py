@@ -397,21 +397,19 @@ def _select(planes: list[np.ndarray], table, ranks) -> list[np.ndarray]:
     # [*planes] takes its list from CPython's free list; list(planes) would not,
     # yet would return it there, so a per-row run would fill the free list
     f = [*planes]
-    own = [False] * len(f)  # the wires holding a plane this call allocated
     spare = None
+    # a wire holds its input plane until a comparator writes it, and from
+    # then on a plane this call allocated, which may be written over
     for i, j, half in table:
         a, b = f[i], f[j]
         if not half:
             f[i] = np.minimum(a, b, out=spare)
-            f[j] = np.maximum(a, b, out=b if own[j] else None)
-            spare = a if own[i] else None
-            own[i] = own[j] = True
+            f[j] = np.maximum(a, b, out=b if b is not planes[j] else None)
+            spare = a if a is not planes[i] else None
         elif half == "min":
-            f[i] = np.minimum(a, b, out=a if own[i] else None)
-            own[i] = True
+            f[i] = np.minimum(a, b, out=a if a is not planes[i] else None)
         else:
-            f[j] = np.maximum(a, b, out=b if own[j] else None)
-            own[j] = True
+            f[j] = np.maximum(a, b, out=b if b is not planes[j] else None)
     return [f[r] for r in ranks]
 
 

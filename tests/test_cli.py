@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_image
+from conftest import random_image, synthetic_mr_slice
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from perfbench.phantom import pgm_bytes
@@ -36,12 +36,22 @@ from mrdenoise import cli, pgm, pipeline
 from mrdenoise.pipeline import MAX_ITERATIONS
 
 
-def run_child(*argv, file_size: int | None = None, memory: int | None = None) -> subprocess.CompletedProcess:
-    """``python *argv`` in a child process that imports the same package copy
-    as the tests, its files limited to *file_size* bytes and its address
-    space to *memory* bytes, and killed after a minute."""
+def run_child(
+    *argv, file_size: int | None = None, memory: int | None = None, cwd: Path | None = None
+) -> subprocess.CompletedProcess:
+    """``python *argv`` in a child process, in *cwd* if given, that imports the
+    same package copy as the tests, its files limited to *file_size* bytes and
+    its address space to *memory* bytes, and killed after a minute.
+
+    The child writes no bytecode cache: CPython does not retry a short write
+    of a ``.pyc``, so under the file size limit it would leave a truncated
+    one that every later child fails to import."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
 
     def limit():
         for which, value in ((resource.RLIMIT_FSIZE, file_size), (resource.RLIMIT_AS, memory)):
@@ -49,7 +59,8 @@ def run_child(*argv, file_size: int | None = None, memory: int | None = None) ->
                 resource.setrlimit(which, (value, value))
 
     return subprocess.run(
-        [sys.executable, *map(str, argv)], capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60
+        [sys.executable, *map(str, argv)],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60, cwd=cwd,
     )
 
 
@@ -66,6 +77,15 @@ def sample(tmp_path):
     path = tmp_path / "in.pgm"
     write_pgm(path, img)
     return img, path
+
+
+@pytest.fixture
+def phantom(tmp_path):
+    """A 32 x 32 phantom at 20 % RVIN, smooth areas and edges: --no-iter1-bypass,
+    --iterations, --t1 0 and --t5 4 each change its output."""
+    path = tmp_path / "phantom.pgm"
+    write_pgm(path, inject_rvin(synthetic_mr_slice(3, size=32), NoiseSpec.rvin(0.2, seed=7))[0])
+    return path
 
 
 class TestInject:
@@ -156,6 +176,9 @@ class TestInject:
                        "--p", "0.1") == 1
 
 
+ENGINES = ["frame", "stream"]
+
+
 class TestDenoise:
     def test_default_flags_equal_explicit(self, tmp_path, sample):
         _, inp = sample
@@ -165,12 +188,53 @@ class TestDenoise:
                        "--t4", "10", "--t5", "6", "--iterations", "2") == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_engines_agree_byte_for_byte(self, tmp_path, sample):
-        _, inp = sample
-        a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
-        assert run_cli("denoise", inp, a, "--engine", "frame") == 0
-        assert run_cli("denoise", inp, b, "--engine", "stream") == 0
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            (),
+            ("--eq4-literal",),
+            ("--t1", "0"),
+            ("--t1", "0", "--eq4-literal"),
+            ("--no-iter1-bypass",),
+            ("--iterations", "3"),
+            ("--iterations", "12"),
+            ("--t5", "4"),
+        ],
+        ids=["default", "eq4-literal", "t1-0", "t1-0-eq4-literal", "no-iter1-bypass", "iterations-3",
+             "iterations-12", "t5-4"],
+    )
+    def test_engines_agree_byte_for_byte(self, tmp_path, phantom, flags):
+        # the same image and the same class rows of --stats: at t1 = 0 nearly
+        # every pixel is an edge, through both forms of the directional
+        # distance, and twelve passes join up to twelve blocks in a stream call
+        got = []
+        for engine in ENGINES:
+            out, stats = tmp_path / f"{engine}.pgm", tmp_path / f"{engine}.csv"
+            assert run_cli("denoise", phantom, out, "--engine", engine, "--stats", stats, *flags) == 0
+            rows = [row for row in stats.read_text(encoding="utf-8").splitlines() if ",stream." not in row]
+            got.append((out.read_bytes(), rows))
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "flags, t5, same",
+        [
+            (("--t2", "0"), "6", True),
+            (("--t2", "5000"), "6", True),
+            (("--eq4-literal",), "6", True),
+            (("--t2", "0"), "4", False),
+            (("--eq4-literal",), "4", False),
+        ],
+        ids=["t2-0", "t2-5000", "eq4-literal", "t2-0-t5-4", "eq4-literal-t5-4"],
+    )
+    def test_t2_and_eq4_literal_act_only_below_the_lemma(self, tmp_path, phantom, engine, flags, t5, same):
+        # while t5 >= 5 and t1 >= t4, as at the defaults, no edge pixel is
+        # similar, so the directional distance changes no output (README);
+        # at t5 = 4 it does
+        base, out = tmp_path / "base.pgm", tmp_path / "out.pgm"
+        assert run_cli("denoise", phantom, base, "--engine", engine, "--t5", t5) == 0
+        assert run_cli("denoise", phantom, out, "--engine", engine, "--t5", t5, *flags) == 0
+        assert (out.read_bytes() == base.read_bytes()) == same
 
     def test_stream_pass_count_beyond_recursion_limit(self, tmp_path):
         inp = tmp_path / "s5.pgm"
@@ -209,22 +273,18 @@ class TestDenoise:
         assert len(lines) == 1 + 2 * 6 + 2 * 9
         assert any(line.split(",")[1].startswith("stream.") for line in lines[1:])
 
-    def test_eq4_literal_changes_result(self, tmp_path, sample):
-        img, inp = sample
+    def test_eq4_literal_changes_result(self, tmp_path, phantom):
+        # at t5 = 4, below the lemma's bound, where the distance form acts
         out = tmp_path / "o.pgm"
-        assert run_cli("denoise", inp, out, "--eq4-literal") == 0
-        from mrdenoise import PipelineConfig
+        assert run_cli("denoise", phantom, out, "--eq4-literal", "--t5", "4") == 0
+        cfg = PipelineConfig(Thresholds(t5=4), eq4_literal_weights=True)
+        assert np.array_equal(read_pgm(out), denoise(read_pgm(phantom), cfg))
 
-        assert np.array_equal(read_pgm(out), denoise(img, PipelineConfig(eq4_literal_weights=True)))
-
-    def test_no_iter1_bypass_flag(self, tmp_path, sample):
-        img, inp = sample
+    def test_no_iter1_bypass_flag(self, tmp_path, phantom):
         out = tmp_path / "o.pgm"
-        assert run_cli("denoise", inp, out, "--no-iter1-bypass") == 0
-        from mrdenoise import PipelineConfig
-
+        assert run_cli("denoise", phantom, out, "--no-iter1-bypass") == 0
         cfg = PipelineConfig(iteration1_skips_similarity_gate=False)
-        assert np.array_equal(read_pgm(out), denoise(img, cfg))
+        assert np.array_equal(read_pgm(out), denoise(read_pgm(phantom), cfg))
 
     def test_hostile_ascii_header_io_error(self, tmp_path, capsys):
         bad = tmp_path / "huge.pgm"
@@ -261,9 +321,6 @@ class TestDenoise:
         assert run_cli("denoise", inp, out, "--stats", tmp_path / "missing" / "x.csv") == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
-
-
-ENGINES = ["frame", "stream"]
 
 
 def fifo_feeder(fifo: Path, head: bytes, block: bytes = b"", blocks: int = 0):
@@ -409,8 +466,9 @@ class TestFileToFile:
             (b"P5\n64 64\n255\n", bytes(65536), 256),
             (b"P2\n64 64\n255\n", b"7 " * 32768, 256),
             (b"P5 " + b"9" * 4300 + b" 10 255\n", b"", 0),
+            (b"", bytes(65536), 256),
         ],
-        ids=["huge_width", "endless_p5", "endless_p2", "count_past_maxsize"],
+        ids=["huge_width", "endless_p5", "endless_p2", "count_past_maxsize", "endless_nul"],
     )
     def test_hostile_pipe_exits_1(self, tmp_path, capsys, engine, head, block, blocks):
         # a pipe's bands grow only as bytes arrive, and the raster is
@@ -887,3 +945,20 @@ class TestEntryPoint:
         from mrdenoise import PipelineConfig
 
         assert np.array_equal(read_pgm(out), denoise(img, PipelineConfig(iterations=1)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("inject", "big.pgm", "o.pgm", "m.pgm", "--p", "0.1"), ("eval", ".", "--out", "r.csv", "--methods", "median3")],
+        ids=["inject", "eval"],
+    )
+    def test_out_of_memory_exits_1(self, tmp_path, argv):
+        # an 8000 x 8000 image (a sparse file) is read, but its noise draw of
+        # two doubles a pixel, 977 MiB, cannot be allocated under a 600 MB
+        # address space limit: one error line, no traceback and no output
+        with open(tmp_path / "big.pgm", "wb") as fh:
+            fh.write(b"P5 8000 8000 255\n")
+            fh.truncate(fh.tell() + 8000 * 8000)
+        proc = run_child("-m", "mrdenoise", *argv, memory=600_000_000, cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert os.listdir(tmp_path) == ["big.pgm"]

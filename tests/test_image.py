@@ -17,7 +17,9 @@ class TestAsGray:
         assert out.dtype == np.uint8
         assert out.tolist() == [[1, 2], [3, 4]]
 
-    @pytest.mark.parametrize("bad", [np.zeros(4), np.zeros((2, 2, 2)), [[1.5]], [[300]], [[-1]]])
+    @pytest.mark.parametrize(
+        "bad", [np.zeros(4), np.zeros((2, 2, 2)), [[1.5]], [[300]], [[-1]], np.zeros((0, 3), np.uint8)]
+    )
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             as_gray(np.asarray(bad))
