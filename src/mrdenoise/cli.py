@@ -238,17 +238,22 @@ def _cmd_eval(args) -> int:
     # opened before the first cell runs, so an output that cannot be written fails at once
     with _replacing(args.out) as out:
         for img_idx, path in enumerate(paths):
-            clean = read_pgm(path)
-            for d_idx, density in enumerate(densities):
-                spec = NoiseSpec.rvin(density, seed=args.seed + 10007 * img_idx + d_idx)
-                noisy, _ = inject_rvin(clean, spec)
-                for method in methods:
-                    start = time.perf_counter()
-                    restored = METHODS[method](noisy, cfg)
-                    elapsed_ms = (time.perf_counter() - start) * 1000.0
-                    quality = psnr(clean, restored)
-                    rows.append((path.stem, "rvin", f"{density:g}", method, f"{quality:.6f}", f"{elapsed_ms:.3f}"))
-                    sums[(density, method)] = sums.get((density, method), 0.0) + quality
+            try:
+                clean = read_pgm(path)
+                for d_idx, density in enumerate(densities):
+                    spec = NoiseSpec.rvin(density, seed=args.seed + 10007 * img_idx + d_idx)
+                    noisy, _ = inject_rvin(clean, spec)
+                    for method in methods:
+                        start = time.perf_counter()
+                        restored = METHODS[method](noisy, cfg)
+                        elapsed_ms = (time.perf_counter() - start) * 1000.0
+                        quality = psnr(clean, restored)
+                        rows.append((path.stem, "rvin", f"{density:g}", method, f"{quality:.6f}", f"{elapsed_ms:.3f}"))
+                        sums[(density, method)] = sums.get((density, method), 0.0) + quality
+            except ValueError as exc:
+                # PgmFormatError too; the type, and so the exit code, stays
+                exc.args = (f"{path}: {exc}",)
+                raise
         # made last: a csv writer holds a 128 KiB record buffer while it lives
         report = io.StringIO()
         csv.writer(report, lineterminator="\n").writerows([EVAL_HEADER, *rows])

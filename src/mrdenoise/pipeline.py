@@ -13,43 +13,26 @@ decision tree and restored by the filter matched to its class:
    rescued when similar to their neighbors, otherwise smoothed by the
    median-rank average; everything else is kept.
 
-The kernel packs each pixel's five predicates into a uint8 code (bit 0
-edge, 1 noisy edge, 2 similar, 3 disordered, 4 candidate) and looks its
-class up in its pass's 32-entry table, built by :func:`_tables` from the
-one tree, :func:`_walk`, that the scalar :func:`classify_window` walks too.
+In the first pass of the default schedule the candidate rescue is
+bypassed (heavy noise makes neighbor similarity meaningless), so
+candidates are smoothed unconditionally. Each pass reads only the output
+of the previous pass, which makes per-pixel work order-independent.
 
-Each pass reads only the output of the previous pass, which makes
-per-pixel work order-independent. :func:`_drive` runs the passes as a
-pipeline over a stream of row chunks: each pass's restored rows reach the
-next pass one step later, and the blocks of one step go through the
-kernel in one call, joined side by side in one contiguous plane. It
-takes cache-sized bands of rows for the frame engine (:func:`denoise`)
-and one row per chunk for the stream engine (:mod:`mrdenoise.stream`),
-as :func:`_chunk_rows` picks; every chunking gives the same result. The
-library enters it through ``_run``, which slices an image array into
-chunks and joins the output rows; ``mrdenoise denoise`` feeds it bands
-read from the input file and writes each row as it leaves. The
+The scalar specification, :func:`classify_window` and
+:func:`restore_pixel`, and the kernel's per-pass class tables, built by
+:func:`_tables`, walk one tree, :func:`_walk`. The vectorized kernel is
+:func:`_iterate_block`. The pass driver, :func:`_drive`, runs the passes
+as a pipeline over row chunks: cache-sized bands for the frame engine
+(:func:`denoise`) and one row per chunk for :mod:`mrdenoise.stream`, as
+:func:`_chunk_rows` picks. The library enters it through ``_run``, and
+``mrdenoise denoise`` feeds it bands read from the input file. The
+driver carries its blocks as uint8, as an 8-bit datapath would. The
 kernel, :func:`classify` and :func:`median_filter` read one window
-layout: the 25 views of a 2-pixel-padded frame, 3x3 at ``_W3``. The
-driver carries its blocks as uint8, as an 8-bit datapath would: the
-kernel's dense tests use forms that cannot wrap, and only ``avg`` and the
-taps its sparse stages gather widen to int16. The kernel ranks each 3x3
-window with the paper's sorter, here a compare-exchange network of
-``np.minimum``/``np.maximum`` over whole planes pruned to the five ranks
-the classifiers and filters read. Like the chip, whose type-2 edge
-detector and filter share one wiring of the 5x5 window's four direction
-lines, one fused stage gathers those taps once, on the pixels the
-sorted-gap test flags, for both the directional edge test and the line
-filter; the pair filter runs on ``Disordered`` pixels only. Each filter
-picks its direction with one ``min`` over packed keys, which break ties
-toward the first direction in H, V, D, AD order, as
-:mod:`mrdenoise.restore` does. One runner,
-:func:`_select`, runs every pruned network: the sorter, and for
-:func:`median_filter` the same network pruned to F4 (3x3) and Batcher's
-merge-exchange network pruned to its middle rank (5x5), both on uint8
-views in the frame engine's row bands. In the first pass of the default
-schedule the candidate rescue is bypassed (heavy noise makes neighbor
-similarity meaningless), so candidates are smoothed unconditionally.
+layout: the 25 views of a 2-pixel-padded frame, 3x3 at ``_W3``. One
+runner, :func:`_select`, runs every pruned comparator network: the
+kernel's sorter, the paper's, and for :func:`median_filter` the same
+network pruned to F4 (3x3) and Batcher's merge-exchange network pruned
+to its middle rank (5x5).
 
 A predicate bit that no class of a call's passes reads is a don't-care in
 that call, whose stage the kernel skips unless module counts are asked for:
@@ -501,17 +484,18 @@ def _iterate_block(
     filters read, and every dense test runs on uint8 in forms that cannot
     wrap; only ``avg`` widens to int16. The noisy-edge bit is a don't-care
     off edges (no class reads it there), so one fused stage runs on edge
-    pixels only: one gather of each one's center and line taps, as int16
-    columns through :func:`_gather`, yields both that bit and the type-2
-    filter value, which the class lookup then scatters onto the
-    ``NoisyEdge`` pixels (all of them edges). The pair filter gathers its
-    taps on ``Disordered`` pixels only. All arithmetic is exact integer
-    work mirroring the scalar stage functions (each bound is written
-    beside its code). Each filter selects its candidate with one ``min``
-    over packed keys (:func:`_packed_min`), first minimum in H, V, D, AD
-    order as in the scalar functions, so frame and stream outputs agree
-    bit for bit. *reads* masks the code bits the caller reads, all by
-    default. A call that leaves out bit 2 skips the similarity count and
+    pixels only, as the chip's type-2 edge detector and filter share one
+    wiring of the four direction lines: one gather of each one's center
+    and line taps, as int16 columns through :func:`_gather`, yields both
+    that bit and the type-2 filter value, which the class lookup then
+    scatters onto the ``NoisyEdge`` pixels (all of them edges). The pair
+    filter gathers its taps on ``Disordered`` pixels only. All arithmetic
+    is exact integer work mirroring the scalar stage functions (each bound
+    is written beside its code). Each filter selects its candidate with
+    one ``min`` over packed keys (:func:`_packed_min`), first minimum in H,
+    V, D, AD order as in the scalar functions, so frame and stream outputs
+    agree bit for bit. *reads* masks the code bits the caller reads, all
+    by default. A call that leaves out bit 2 skips the similarity count and
     one that leaves out bit 1 the directional distance: in such a pruned
     call that bit is a don't-care, left clear, so its codes give every
     pixel its class but not its exact predicates.
@@ -624,7 +608,9 @@ def _drive(
     No window that straddles two blocks reaches a pass, the output or a
     count. A one-row stream thus makes about one call per row for up to 49
     passes of 128 columns, and each pass holds four carry rows plus one
-    pending chunk and emits its rows three rows behind the pass before it.
+    pending chunk and emits its rows three rows behind the pass before it
+    (the first pass two behind its input), so a stream's working memory is
+    O(width x passes), not O(width x height).
     After the last chunk, pass k takes its end-of-input call k steps later:
     the rows the pass before it emitted last, with its last input row
     replicated twice below them. That is the frame's edge padding, so every

@@ -1,8 +1,11 @@
-"""Deterministic test images and a scalar-pass oracle shared by the tests.
+"""Deterministic test images, the scalar-pass and median oracles and a
+memory probe shared by the tests.
 
 The phantom and its generator come from the benchmark's frozen copy, so the
 tests and the benchmark draw the same images.
 """
+
+import tracemalloc
 
 import numpy as np
 from perfbench.phantom import make_rng, synthetic_mr_slice
@@ -61,3 +64,19 @@ def scalar_pass(img, cfg, gate_active: bool, skip_npc: bool = False, counters=No
                 classes[cls] += 1
             out[r, c] = restore_pixel(cls, w3, w5, f, counters)
     return out
+
+
+def median_oracle(img, k: int) -> np.ndarray:
+    """The k x k median of every pixel by sorting its edge-padded window."""
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(img, k // 2, mode="edge"), (k, k))
+    return np.sort(windows.reshape(*img.shape, k * k), axis=-1)[..., k * k // 2]
+
+
+def traced_peak(fn) -> int:
+    """The peak of memory traced while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

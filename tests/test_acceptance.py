@@ -7,7 +7,7 @@ report lines.
 import time
 
 import numpy as np
-from conftest import axis_step, make_rng, random_image, slanted_step, make_corpus
+from conftest import axis_step, make_rng, median_oracle, random_image, slanted_step, make_corpus
 
 from mrdenoise import (
     NoiseSpec,
@@ -72,16 +72,6 @@ def test_trend_anchor_40_percent():
     )
 
 
-def _median_oracle(img, k):
-    """The k x k median of every pixel by sorting its edge-padded window."""
-    p = np.pad(img, k // 2, mode="edge")
-    out = np.empty_like(img)
-    for r in range(img.shape[0]):
-        for c in range(img.shape[1]):
-            out[r, c] = sorted(p[r : r + k, c : c + k].ravel().tolist())[k * k // 2]
-    return out
-
-
 def test_median_filter_oracle_equivalence():
     """median_filter(k=3,5) equals a brute-force window-sort oracle exactly."""
     g = make_rng(7500)
@@ -97,7 +87,7 @@ def test_median_filter_oracle_equivalence():
     cases += [(random_image(1200 + h, h, w), 3) for h, w in ((3, 3), (3, 7), (7, 3))]
     cases.append((random_image(1205, 5, 5), 5))
     for img, k in cases:
-        assert np.array_equal(median_filter(img, k), _median_oracle(img, k)), (img.shape, k)
+        assert np.array_equal(median_filter(img, k), median_oracle(img, k)), (img.shape, k)
     _report("median-oracle", f"{len(cases)} image/kernel combinations exact")
 
 

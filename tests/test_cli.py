@@ -8,12 +8,11 @@ import subprocess
 import sys
 import tempfile
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_image, synthetic_mr_slice
+from conftest import random_image, synthetic_mr_slice, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from perfbench.phantom import pgm_bytes
@@ -602,16 +601,15 @@ class TestFileToFile:
         inp, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
         write_pgm(inp, random_image(73, 16, 64))
         assert run_cli("denoise", inp, out, "--engine", engine) == 0  # caches warm
+
+        def run():
+            assert run_cli("denoise", inp, out, "--engine", engine, "--stats", tmp_path / "s.csv") == 0
+
         peaks = []
         for height in heights:
             inp.write_bytes(pgm_bytes(random_image(height, height, width), ascii_format))
             gc.collect()
-            tracemalloc.start()
-            try:
-                assert run_cli("denoise", inp, out, "--engine", engine, "--stats", tmp_path / "s.csv") == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(run))
         assert peaks[1] <= 1.1 * peaks[0], f"peaks {peaks} bytes"
 
 
@@ -849,15 +847,20 @@ class TestEval:
         assert capsys.readouterr().err.startswith("error: ")
         assert cells == [] and sorted(os.listdir(tmp_path)) == before and not os.listdir(out)
 
-    def test_failed_run_leaves_out_as_it_was(self, tmp_path, capsys):
-        # the second image is malformed, so rows of the first have been made
+    @pytest.mark.parametrize(
+        ("z", "code"), [(b"P5\n8 8\n255\nxx", 1), (pgm_bytes(random_image(81, 4, 4), False), 2)], ids=["malformed", "4x4"]
+    )
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, capsys, z, code):
+        # the second image is malformed or too small for median5, so rows of the
+        # first have been made; the one error line names the image that failed
         corpus = self.make_corpus(tmp_path, count=1)
-        (corpus / "z.pgm").write_bytes(b"P5\n8 8\n255\nxx")
+        (corpus / "z.pgm").write_bytes(z)
         out = tmp_path / "r.csv"
         out.write_bytes(b"old")
         before = sorted(os.listdir(tmp_path))
-        assert run_cli("eval", corpus, "--out", out, "--densities", "0.1", "--methods", "median3") == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert run_cli("eval", corpus, "--out", out, "--densities", "0.1", "--methods", "median5") == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {corpus / 'z.pgm'}: "), err
         assert sorted(os.listdir(tmp_path)) == before and out.read_bytes() == b"old"
 
     def test_bad_density_usage_error(self, tmp_path):

@@ -2,12 +2,11 @@ import contextlib
 import os
 import sys
 import threading
-import tracemalloc
 from itertools import islice
 
 import numpy as np
 import pytest
-from conftest import random_image
+from conftest import random_image, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from perfbench.phantom import pgm_bytes, rvin, synthetic_mr_slice
@@ -210,15 +209,6 @@ def no_int_digit_limit():
             sys.set_int_max_str_digits(limit)
 
 
-def traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestBinaryMemory:
     """P5 I/O moves the raster without staging copies."""
 
@@ -407,15 +397,15 @@ class TestReader:
                     fh.write(block)
                 fh.write(end)
 
-        writer = threading.Thread(target=write)
-        writer.start()
-        tracemalloc.start()
-        try:
+        def read():
             with no_int_digit_limit(), pytest.raises(PgmFormatError, match=field):
                 read_pgm(fifo)
-            peak = tracemalloc.get_traced_memory()[1]
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            peak = traced_peak(read)
         finally:
-            tracemalloc.stop()
             writer.join(timeout=60)
         assert not writer.is_alive()
         assert peak < 2**20, f"peak {peak} bytes"

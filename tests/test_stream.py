@@ -1,11 +1,10 @@
 import dataclasses
 import gc
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_rng, random_image, scalar_pass, synthetic_mr_slice
+from conftest import make_rng, random_image, scalar_pass, synthetic_mr_slice, traced_peak
 
 from mrdenoise import (
     MODULE_NAMES,
@@ -32,7 +31,9 @@ def scalar_oracle(img, cfg, gate_active, skip_npc):
     return scalar_pass(img, cfg, gate_active, skip_npc, counters, classes), classes, counters
 
 
-class TestRowRing:
+class TestOneRowChunks:
+    """The pass driver fed one row per chunk, as the stream engine feeds it."""
+
     @pytest.mark.parametrize("iterations", [1, 3])
     def test_reads_three_rows_ahead_per_pass(self, iterations):
         img = random_image(50, 17, 9)
@@ -60,30 +61,11 @@ class TestRowRing:
 
 
 class TestStreamDenoise:
-    def test_matches_frame_on_noisy_image(self):
-        img = random_image(51, 64, 64)
-        noisy, _ = inject_rvin(img, NoiseSpec.rvin(0.10, seed=3))
-        assert np.array_equal(stream_denoise(noisy), denoise(noisy))
-
-    def test_matches_frame_on_minimal_image(self):
-        img = random_image(52, 5, 7)
-        assert np.array_equal(stream_denoise(img), denoise(img))
-
     def test_single_iteration_definitional(self):
         img = random_image(53, 9, 12)
         cfg = PipelineConfig(iterations=1)
         assert np.array_equal(stream_denoise(img, cfg), denoise(img, cfg))
         assert np.array_equal(stream_denoise(img, cfg), scalar_pass(img, cfg, gate_active=False))
-
-    def test_matches_frame_with_nondefault_config(self):
-        img = random_image(54, 20, 15)
-        cfg = PipelineConfig(
-            thresholds=Thresholds(t1=12, t2=90, t3=18, t4=14, t5=4),
-            iterations=3,
-            iteration1_skips_similarity_gate=False,
-            eq4_literal_weights=True,
-        )
-        assert np.array_equal(stream_denoise(img, cfg), denoise(img, cfg))
 
     def test_undersized_rejected(self):
         with pytest.raises(ValueError):
@@ -106,7 +88,6 @@ class TestStreamDenoise:
         cfg = PipelineConfig(iterations=sys.getrecursionlimit() + 100)
         assert np.array_equal(stream_denoise(img, cfg), denoise(img, cfg))
 
-
     def test_row_engine_peak(self):
         # a two-pass 128x128 run holds a few padded rows per pass: about 5
         # images at the peak. Building the kernel's window lines with
@@ -116,12 +97,7 @@ class TestStreamDenoise:
         noisy, _ = inject_rvin(synthetic_mr_slice(3, size=128), NoiseSpec.rvin(0.20, seed=7))
         stream_denoise_with_stats(noisy)  # warm up lazy imports and caches
         gc.collect()
-        tracemalloc.start()
-        try:
-            stream_denoise_with_stats(noisy)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: stream_denoise_with_stats(noisy))
         assert peak <= 7 * noisy.nbytes, f"peak {peak / noisy.nbytes:.2f} images"
 
 
