@@ -254,6 +254,9 @@ def _cmd_eval(args) -> int:
                 # PgmFormatError too; the type, and so the exit code, stays
                 exc.args = (f"{path}: {exc}",)
                 raise
+            except MemoryError as exc:
+                # numpy builds its message from the array's shape, not from args
+                raise MemoryError(f"{path}: {exc or 'out of memory'}") from None
         # made last: a csv writer holds a 128 KiB record buffer while it lives
         report = io.StringIO()
         csv.writer(report, lineterminator="\n").writerows([EVAL_HEADER, *rows])

@@ -64,7 +64,7 @@ from .detect import (
 )
 from .image import _require_int, as_gray
 from .pgm import _replacing
-from .restore import _PAIRS, average_restore, type1_edge_preserve, type2_edge_preserve
+from .restore import average_restore, type1_edge_preserve, type2_edge_preserve
 
 __all__ = [
     "PixelClass",
@@ -256,10 +256,10 @@ def restore_pixel(pixel_class: PixelClass, w3, w5, f, counters: dict | None = No
 
 
 # rows and columns, in the 5x5 window, of the taps each sparse stage reads:
-# the 3x3 pairs of type1_edge_preserve in _PAIRS order, and for the edge
-# stage the center, then the four pixels of each direction line of
-# type2_edge_preserve in H, V, D, AD order, each near, near, far, far
-_PAIR_TAPS = np.divmod(np.take(_W3, _PAIRS).ravel(), 5)
+# each line's near taps, type1_edge_preserve's 3x3 pairs in _PAIRS order, and
+# for the edge stage the center, then the four pixels of each direction line
+# of type2_edge_preserve in H, V, D, AD order, each near, near, far, far
+_PAIR_TAPS = np.divmod(np.ravel(NEAR_PIXELS), 5)
 _EDGE_TAPS = np.divmod(
     [12, *chain.from_iterable(near + far for near, far in zip(NEAR_PIXELS, FAR_PIXELS))], 5
 )

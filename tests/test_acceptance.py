@@ -7,7 +7,7 @@ report lines.
 import time
 
 import numpy as np
-from conftest import axis_step, make_rng, median_oracle, random_image, slanted_step, make_corpus
+from conftest import axis_step, make_corpus, make_rng, median_oracle, random_image, slanted_step, windows
 
 from mrdenoise import (
     NoiseSpec,
@@ -177,9 +177,7 @@ def test_invariant_threshold_monotonicity():
     """Raising a threshold never flips a classifier toward its positive side."""
     g = make_rng(8000)
     for _ in range(1000):
-        w5 = g.integers(0, 256, 25).tolist()
-        w3 = [w5[i] for i in (6, 7, 8, 11, 12, 13, 16, 17, 18)]
-        f = sorted(w3)
+        ((w3, w5, f),) = windows(g.integers(0, 256, (5, 5)))
         lo = int(g.integers(0, 200))
         hi = lo + int(g.integers(0, 200))
         if type1_edge(f, hi):
@@ -200,11 +198,8 @@ def test_invariant_brightness_shift():
     g = make_rng(8100)
     for _ in range(1000):
         c = int(g.integers(0, 101))
-        w5 = g.integers(0, 256 - c, 25).tolist()
-        s5 = [v + c for v in w5]
-        w3 = [w5[i] for i in (6, 7, 8, 11, 12, 13, 16, 17, 18)]
-        s3 = [v + c for v in w3]
-        f, fs = sorted(w3), sorted(s3)
+        plane = g.integers(0, 256 - c, (5, 5))
+        ((w3, w5, f),), ((s3, s5, fs),) = windows(plane), windows(plane + c)
         assert type1_edge(f, 20) == type1_edge(fs, 20)
         assert type2_edge(w5, 150) == type2_edge(s5, 150)
         assert disorder(w3[4], f, 30) == disorder(s3[4], fs, 30)
@@ -218,9 +213,7 @@ def test_invariant_output_range_containment():
     """Restorer outputs stay within their window range; images stay uint8."""
     g = make_rng(8200)
     for _ in range(1000):
-        w5 = g.integers(0, 256, 25).tolist()
-        w3 = [w5[i] for i in (6, 7, 8, 11, 12, 13, 16, 17, 18)]
-        f = sorted(w3)
+        ((w3, w5, f),) = windows(g.integers(0, 256, (5, 5)))
         assert f[0] <= average_restore(f) <= f[8]
         assert min(w3) <= type1_edge_preserve(w3) <= max(w3)
         assert min(w5) <= type2_edge_preserve(w5) <= max(w5)

@@ -964,4 +964,6 @@ class TestEntryPoint:
         proc = run_child("-m", "mrdenoise", *argv, memory=600_000_000, cwd=tmp_path)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        if argv[0] == "eval":
+            assert "big.pgm" in proc.stderr, proc.stderr
         assert os.listdir(tmp_path) == ["big.pgm"]

@@ -3,7 +3,17 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import axis_step, make_rng, median_oracle, random_image, scalar_pass, synthetic_mr_slice, traced_peak
+from conftest import (
+    axis_step,
+    make_rng,
+    median_oracle,
+    random_image,
+    scalar_pass,
+    spec_walk,
+    synthetic_mr_slice,
+    traced_peak,
+    windows,
+)
 from test_golden_grid import noisy_pgm
 
 from mrdenoise import (
@@ -43,7 +53,6 @@ from mrdenoise.pipeline import (
     _select,
     _tables,
     classify,
-    classify_window,
 )
 from mrdenoise.restore import _PAIRS, average_restore, type1_edge_preserve, type2_edge_preserve
 
@@ -146,12 +155,10 @@ class TestRestorePixel:
         assert restore_pixel(PixelClass.NOISY_SMOOTH, w3, [0] * 25, f) == 12
 
     def test_noisy_edge_uses_directional_median(self):
-        w5 = []
-        for _ in range(5):
-            w5 += [0, 0, 200, 200, 200]
-        w5[12] = 255
-        w3 = [w5[i] for i in (6, 7, 8, 11, 12, 13, 16, 17, 18)]
-        assert restore_pixel(PixelClass.NOISY_EDGE, w3, w5, sorted(w3)) == 200
+        plane = np.tile(np.array([0, 0, 200, 200, 200], np.uint8), (5, 1))
+        plane[2, 2] = 255
+        ((w3, w5, f),) = windows(plane)
+        assert restore_pixel(PixelClass.NOISY_EDGE, w3, w5, f) == 200
 
     def test_disordered_uses_pair_average(self):
         w3 = [10, 10, 10, 10, 255, 10, 10, 10, 10]
@@ -165,10 +172,8 @@ PREDICATE_BITS = ("type1_edge", "type2_edge", "similarity", "disorder", "noisy_p
 def assert_scalar_codes(block, th, eq4_literal, code):
     """Assert that each pixel's *code*, from ``_iterate_block`` on the padded
     *block* with every bit read, holds the scalar predicates of its window."""
-    for (r, c), value in np.ndenumerate(code):
-        w5 = block[r : r + 5, c : c + 5].ravel().tolist()
-        w3 = [w5[i] for i in pipeline._W3]
-        f = sorted(w3)
+    for (r, c), (w3, w5, f) in zip(np.ndindex(code.shape), windows(block), strict=True):
+        value = code[r, c]
         edge = type1_edge(f, th.t1)
         bits = (
             edge,
@@ -252,23 +257,12 @@ class TestTruthTable:
         # each predicate answers with one bit of the code, so the scalar
         # specification walks the code's path through the decision tree
         classes, runs, _ = _tables(gate_active, skip_npc, False)
-        w3, w5 = [0] * 9, [0] * 25
+        zeros = windows(np.zeros((5, 5), np.uint8))
         for code in range(32):
             for bit, name in enumerate(PREDICATE_BITS):
                 answer = bool(code >> bit & 1)
                 monkeypatch.setattr(pipeline, name, lambda *args, answer=answer, **kwargs: answer)
-            counters = dict.fromkeys(MODULE_NAMES, 0)
-            counters["sorter"] += 1
-            cls = classify_window(
-                w3,
-                w5,
-                sorted(w3),
-                Thresholds(),
-                gate_active=gate_active,
-                skip_noisy_pixel_check=skip_npc,
-                counters=counters,
-            )
-            restore_pixel(cls, w3, w5, sorted(w3), counters)
+            (cls,), _, counters = spec_walk(zeros, Thresholds(), gate_active, skip_npc)
             assert cls == classes[code], code
             assert list(counters.values()) == runs[code].tolist(), code
 
@@ -333,7 +327,8 @@ EXTREMES = (0, 127, 128, 255, 256, 10**6)
 
 class TestThresholdExtremes:
     """The uint8 front half against the scalar specification, pixel by pixel,
-    with t1..t4 at every combination of ``EXTREMES``."""
+    with t1..t4 at every combination of ``EXTREMES``; thresholds built from
+    numpy integers give the int call's planes bit for bit."""
 
     @staticmethod
     def image(seed: int) -> np.ndarray:
@@ -351,37 +346,26 @@ class TestThresholdExtremes:
     @pytest.mark.parametrize("integer", [int, np.int64])
     @pytest.mark.parametrize("eq4_literal", [False, True])
     def test_kernel_matches_scalar_spec(self, eq4_literal, integer):
-        blocks, windows = [], []
-        for seed in (4700, 4701):
-            block = padded(self.image(seed))
-            blocks.append(block)
-            w5s = [block[r : r + 5, c : c + 5].ravel().tolist() for r, c in np.ndindex(9, 11)]
-            windows.append([(w5, [w5[i] for i in pipeline._W3]) for w5 in w5s])
-        seen = dict.fromkeys(PixelClass, 0)
-        for n, (t1, t2, t3, t4) in enumerate(itertools.product(EXTREMES, repeat=4)):
-            th = Thresholds(*map(integer, (t1, t2, t3, t4, n % 9)))
+        blocks = [padded(self.image(seed)) for seed in (4700, 4701)]
+        walks = [windows(block) for block in blocks]
+        seen = np.zeros(len(PixelClass), int)
+        for n, t in enumerate(itertools.product(EXTREMES, repeat=4)):
+            th = Thresholds(*t, n % 9)
             gate_active = n % 4 < 2
             classes, runs, _ = _tables(gate_active, False, False)
-            block, pixels = blocks[n % 2], windows[n % 2]
-            out, code = _iterate_block(block, th, classes[None], eq4_literal)
-            counters = dict.fromkeys(MODULE_NAMES, 0)
-            for (w5, w3), cls, value in zip(pixels, classes[code].ravel(), out.ravel()):
-                f = sorted(w3)
-                counters["sorter"] += 1
-                expected = classify_window(
-                    w3,
-                    w5,
-                    f,
-                    th,
-                    gate_active=gate_active,
-                    weights_inside_abs=eq4_literal,
-                    counters=counters,
-                )
-                assert cls == expected, (th, w5)
-                assert value == restore_pixel(expected, w3, w5, f, counters), (th, w5)
-                seen[expected] += 1
+            out, code = _iterate_block(blocks[n % 2], th, classes[None], eq4_literal)
+            seen += np.bincount(classes[code].ravel(), minlength=len(PixelClass))
+            if integer is not int:
+                wide = Thresholds(*map(integer, (*t, n % 9)))
+                wide_planes = _iterate_block(blocks[n % 2], wide, classes[None], eq4_literal)
+                for plane, wide_plane in zip((out, code), wide_planes):
+                    assert plane.dtype == wide_plane.dtype and np.array_equal(plane, wide_plane), th
+                continue
+            want, values, counters = spec_walk(walks[n % 2], th, gate_active, eq4_literal=eq4_literal)
+            assert classes[code].ravel().tolist() == want, th
+            assert out.ravel().tolist() == values, th
             assert list(counters.values()) == runs[code.ravel()].sum(axis=0).tolist(), th
-        assert all(seen.values()), seen
+        assert seen.all(), seen
 
 
 class TestPrunedKernel:
@@ -732,12 +716,10 @@ class TestFullDomain:
             out, code = _iterate_block(plane, Thresholds(t1=0), self.every_code(cls, n), False)
             assert out.shape == (h, n * (w + 4) - 4)
             assert code[0, 0] & 1 and code[-1, -1] & 1
-            for (r, c), value in np.ndenumerate(out):
-                w5 = plane[r : r + 5, c : c + 5].ravel().tolist()
-                w3 = [w5[i] for i in pipeline._W3]
+            for (r, c), (w3, w5, f) in zip(np.ndindex(out.shape), windows(plane), strict=True):
                 # the kernel runs the line filter on edge pixels only
                 keep = cls == PixelClass.NOISY_EDGE and not code[r, c] & 1
-                assert value == (w3[4] if keep else restore_pixel(cls, w3, w5, sorted(w3))), (cls, r, c)
+                assert out[r, c] == (w3[4] if keep else restore_pixel(cls, w3, w5, f)), (cls, r, c)
 
     @pytest.mark.parametrize("t2", [1019, 1020, 1021, 10**6])
     def test_distance_clamp(self, t2):
@@ -755,15 +737,12 @@ class TestFullDomain:
 
 def line_extremes(img, eq4_literal: bool) -> tuple[int, int]:
     """The largest directional distance and line spread over the 5x5 windows of *img*."""
-    padded = np.pad(img, 2, mode="edge").tolist()
     d_max = spread_max = 0
-    for r in range(img.shape[0]):
-        for c in range(img.shape[1]):
-            w5 = [v for row in padded[r : r + 5] for v in row[c : c + 5]]
-            d_max = max(d_max, *directional_distances(w5, weights_inside_abs=eq4_literal))
-            for near, far in zip(NEAR_PIXELS, FAR_PIXELS):
-                line = [w5[i] for i in near + far]
-                spread_max = max(spread_max, sum(abs(4 * v - sum(line)) for v in line))
+    for _, w5, _ in windows(padded(img)):
+        d_max = max(d_max, *directional_distances(w5, weights_inside_abs=eq4_literal))
+        for near, far in zip(NEAR_PIXELS, FAR_PIXELS):
+            line = [w5[i] for i in near + far]
+            spread_max = max(spread_max, sum(abs(4 * v - sum(line)) for v in line))
     return d_max, spread_max
 
 

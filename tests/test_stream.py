@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import make_rng, random_image, scalar_pass, synthetic_mr_slice, traced_peak
+from conftest import make_rng, random_image, scalar_oracle, scalar_pass, synthetic_mr_slice, traced_peak
 
 from mrdenoise import (
     MODULE_NAMES,
@@ -22,13 +22,6 @@ from mrdenoise import pipeline
 from mrdenoise.pipeline import _drive
 
 BIG = 10**6
-
-
-def scalar_oracle(img, cfg, gate_active, skip_npc):
-    """Output, class counts and stage counts of one pass, from the scalar
-    specification on every pixel."""
-    classes, counters = dict.fromkeys(PixelClass, 0), dict.fromkeys(MODULE_NAMES, 0)
-    return scalar_pass(img, cfg, gate_active, skip_npc, counters, classes), classes, counters
 
 
 class TestOneRowChunks:
